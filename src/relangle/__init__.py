@@ -52,7 +52,6 @@ from .optimizer import (
     two_term_nu,
 )
 from .limits import (
-    ClassicalAveragedState,
     asymptotic_deviation,
     classical_fidelity,
     classical_sigma,
@@ -100,7 +99,6 @@ __all__ = [
     "optimize_state",
     "optimize_trig_blocks",
     "two_term_nu",
-    "ClassicalAveragedState",
     "asymptotic_deviation",
     "classical_fidelity",
     "classical_sigma",

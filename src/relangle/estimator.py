@@ -102,13 +102,12 @@ class TrigBlocks:
 @lru_cache(maxsize=None)
 def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
     """Amplitude-independent CG/moment contractions per (J, j1, j1') entry."""
-    fake = [(J, basis) for J, basis in _structure_for(js, j2)]
     trips = {}
     ms = m_range(j2)
     P = np.array([moment_integrals(j2, m2).P for m2 in ms])
     Q = np.array([moment_integrals(j2, m2).Q for m2 in ms])
     R = np.array([moment_integrals(j2, m2).R for m2 in ms])
-    for J, basis in fake:
+    for J, basis in coupling_structure(js, j2):
         cols = [_cg_column(j1, m1, j2, J) for j1 in basis]
         dim = len(basis)
         g0 = np.empty((dim, dim))
@@ -122,17 +121,6 @@ def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
                 g2[i, k] = g2[k, i] = float(np.dot(R, prod))
         trips[J] = (basis, g0, g1, g2)
     return trips
-
-
-def _structure_for(js: tuple[HalfInt, ...], j2: HalfInt):
-    from .su2 import couple_range
-
-    all_J = sorted({J for j1 in js for J in couple_range(j1, j2)}, key=lambda J: J.twice)
-    return [
-        (J, tuple(j1 for j1 in js
-                  if abs(j1.twice - j2.twice) <= J.twice <= j1.twice + j2.twice))
-        for J in all_J
-    ]
 
 
 def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:

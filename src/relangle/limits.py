@@ -9,27 +9,17 @@ coherences across j1; the block pairing is m = J - j2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .su2 import DomainError, HalfInt, half, m_range, wigner_d
-from .states import GenericState, averaged_state
+from .states import BlockedOperator, GenericState, averaged_state
 from .estimator import TrigBlock, TrigBlocks
 from .optimizer import OptimizationResult, optimize_trig_blocks, max_fidelity, optimize_state
 
 _QUAD_NODES = 200
-
-
-@dataclass
-class ClassicalAveragedState:
-    """Azimuth-averaged |psi1> density: per-m real symmetric matrices over j."""
-
-    blocks: dict[HalfInt, tuple[tuple[HalfInt, ...], np.ndarray]] = field(default_factory=dict)
-
-    def trace(self) -> float:
-        return float(sum(np.trace(m) for _, m in self.blocks.values()))
 
 
 def _m_structure(state: GenericState) -> list[tuple[HalfInt, tuple[HalfInt, ...]]]:
@@ -43,11 +33,11 @@ def _m_structure(state: GenericState) -> list[tuple[HalfInt, tuple[HalfInt, ...]
     return out
 
 
-def classical_sigma(state: GenericState, beta: float) -> ClassicalAveragedState:
+def classical_sigma(state: GenericState, beta: float) -> BlockedOperator:
     """<j' m|sigma(beta)|j m> = a_{j'} a_j d^{j'}_{m m1}(beta) d^{j}_{m m1}(beta)."""
     if not 0.0 <= beta <= math.pi + 1e-12:
         raise DomainError(f"beta = {beta} outside [0, pi]")
-    out = ClassicalAveragedState()
+    out = BlockedOperator()
     for m, basis in _m_structure(state):
         amp_d = np.array([state.amplitude(j) * wigner_d(j, m, state.m1, beta) for j in basis])
         out.blocks[m] = (basis, np.outer(amp_d, amp_d))

@@ -1,10 +1,12 @@
 """Optimal estimates, POVMs and preparation-amplitude search.
 
-One-dimensional J-sectors take a single closed-form estimate; two-dimensional
-sectors (repeated representations) take the two-outcome (nu, pi - nu) pair
-with projectors from the eigenvectors of A_{pi-nu} - A_nu.  Optimality of a
-reported POVM is certified by scanning the minimum eigenvalue of
-Upsilon - A_mu over a dense mu grid.
+Every J-block of A(mu) = k0 + sin(mu) k1 + cos(mu) k2 is solved in closed
+form.  Since A(pi - mu) - A(mu) = -2 cos(mu) k2, the best (nu, pi - nu) pair
+measures in the mu-independent eigenbasis of k2 and earns
+tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1, largest at
+nu = atan2(tr k1, ||k2||_1); a 1-dim block is the same formula with a single
+outcome.  Optimality of a reported POVM is certified by scanning the minimum
+eigenvalue of Upsilon - A_mu over a dense mu grid.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .estimator import (
 from .states import GenericState
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_PAIR_BRACKET = (1e-6, math.pi / 2.0)
 CERTIFICATE_GRID = 1001
 CERTIFICATE_PASS = -1e-9
 
@@ -65,115 +66,61 @@ def golden_max(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def _eig2_sym(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a symmetric 2x2 matrix."""
-    p, r, s = mat[0, 0], mat[0, 1], mat[1, 1]
-    if r == 0.0:
-        if p <= s:
-            return np.array([p, s]), np.eye(2)
-        return np.array([s, p]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    mean = (p + s) / 2.0
-    rad = math.hypot((p - s) / 2.0, r)
-    lo, hi = mean - rad, mean + rad
-    v_hi = np.array([r, hi - p])
-    v_hi /= np.linalg.norm(v_hi)
-    v_lo = np.array([-v_hi[1], v_hi[0]])
-    return np.array([lo, hi]), np.column_stack([v_lo, v_hi])
+def _block_optimum(J: HalfInt, blk: TrigBlock) -> tuple[SingleEstimate | PairEstimate, float]:
+    """Best estimate(s) for one block and the block's fidelity contribution.
 
-
-def _single_from_coeffs(c0: float, c1: float, c2: float) -> tuple[float, float]:
-    """argmax over [0, pi] of c0 + c1 sin(mu) + c2 cos(mu)."""
-    cands = [0.0, math.pi]
-    if c1 != 0.0 or c2 != 0.0:
-        peak = math.atan2(c1, c2)
-        if 0.0 <= peak <= math.pi:
-            cands.append(peak)
-    else:
-        cands.append(math.pi / 2.0)
-    vals = [c0 + c1 * math.sin(m) + c2 * math.cos(m) for m in cands]
-    best = int(np.argmax(vals))
-    return cands[best], vals[best]
-
-
-def _pair_objective(blk: TrigBlock, mu: float) -> float:
-    a_mu = blk.at(mu)
-    delta = blk.at(math.pi - mu) - a_mu
-    eigs, _ = _eig2_sym(delta)
-    return float(np.trace(a_mu)) + float(eigs[eigs > 0.0].sum())
-
-
-def _newton_polish(f, x: float, lo: float, hi: float, h: float = 1e-5, steps: int = 2) -> float:
-    """Central-difference Newton refinement of an interior maximum.
-
-    Golden section stalls near sqrt(eps) of the peak where function values
-    tie; two Newton steps push the argmax error below 1e-9.
+    The pair objective tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1 peaks at
+    nu = atan2(tr k1, ||k2||_1); the k2 eigenvectors with positive eigenvalue
+    take nu, the rest pi - nu.  Clamping tr k1 at 0 gives the endpoint optimum.
     """
-    for _ in range(steps):
-        fp = f(x + h)
-        fm = f(x - h)
-        f0 = f(x)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        if d2 >= -1e-8:
-            break
-        step = -(fp - fm) / (2.0 * h) / d2
-        nxt = min(max(x + step, lo), hi)
-        if f(nxt) + 1e-15 < f0:
-            break
-        x = nxt
-    return x
-
-
-def _pair_from_block(blk: TrigBlock, tol: float = 1e-10) -> tuple[float, PairEstimate, float]:
-    nu = golden_max(lambda m: _pair_objective(blk, m), *_PAIR_BRACKET, tol=tol)
-    nu = _newton_polish(lambda m: _pair_objective(blk, m), nu, *_PAIR_BRACKET)
-    a_nu = blk.at(nu)
-    delta = blk.at(math.pi - nu) - a_nu
-    eigs, vecs = _eig2_sym(delta)
-    # nu-element on the nonpositive span, (pi - nu)-element on the nonnegative one
-    proj_hi = np.zeros((2, 2))
-    proj_lo = np.zeros((2, 2))
-    for val, vec in zip(eigs, vecs.T):
-        if val >= 0.0:
-            proj_hi += np.outer(vec, vec)
-        else:
-            proj_lo += np.outer(vec, vec)
-    pair = PairEstimate(nu=nu, proj_nu=proj_lo, proj_conjugate=proj_hi)
-    contrib = float(np.trace(a_nu)) + float(eigs[eigs > 0.0].sum())
-    return nu, pair, contrib
+    if blk.dim > 2:
+        raise UnsupportedBlockError(
+            f"block J={J} has dimension {blk.dim}; only dimensions <= 2 are solved")
+    t1 = max(float(np.trace(blk.k1)), 0.0)
+    lam, vecs = np.linalg.eigh(blk.k2)
+    norm = float(np.abs(lam).sum())
+    nu = math.atan2(t1, norm)
+    contrib = float(np.trace(blk.k0)) + math.hypot(t1, norm)
+    if blk.dim == 1:
+        return SingleEstimate(nu if lam[0] > 0.0 else math.pi - nu), contrib
+    pos = vecs[:, lam > 0.0]
+    proj_nu = pos @ pos.T
+    return PairEstimate(nu=nu, proj_nu=proj_nu, proj_conjugate=np.eye(2) - proj_nu), contrib
 
 
 def optimal_single_estimate(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[float, float]:
     """Best single estimate and its fidelity contribution for a 1-dim block."""
-    blk = signal_trig_blocks(state, half(j2)).blocks[half(J)]
+    J = half(J)
+    blk = signal_trig_blocks(state, half(j2)).blocks[J]
     if blk.dim != 1:
         raise UnsupportedBlockError(f"block J={J} has dimension {blk.dim}, expected 1")
-    return _single_from_coeffs(*blk.trace_coeffs())
+    single, contrib = _block_optimum(J, blk)
+    return single.mu, contrib
 
 
 def optimal_pair(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[float, PairEstimate, float]:
     """Optimal (nu, pi - nu) two-outcome measurement for a 2-dim block."""
-    blk = signal_trig_blocks(state, half(j2)).blocks[half(J)]
+    J = half(J)
+    blk = signal_trig_blocks(state, half(j2)).blocks[J]
     if blk.dim != 2:
         raise UnsupportedBlockError(f"block J={J} has dimension {blk.dim}, expected 2")
-    return _pair_from_block(blk)
+    pair, contrib = _block_optimum(J, blk)
+    return pair.nu, pair, contrib
 
 
 def _certificate(trig: TrigBlocks, povm: PovmSpec, grid: int) -> float:
     """Minimum eigenvalue of Upsilon - A_mu over all blocks and a mu grid."""
     worst = math.inf
     mu_grid = np.linspace(0.0, math.pi, grid)
+    sin_mu = np.sin(mu_grid)[:, None, None]
+    cos_mu = np.cos(mu_grid)[:, None, None]
     for J, blk in trig.blocks.items():
         upsilon = np.zeros((blk.dim, blk.dim))
         for mu, element in povm.elements(J, blk.dim):
             upsilon += blk.at(mu) @ element
         upsilon = (upsilon + upsilon.T) / 2.0
-        for mu in mu_grid:
-            gap = upsilon - blk.at(mu)
-            if blk.dim == 1:
-                worst = min(worst, float(gap[0, 0]))
-            else:
-                eigs, _ = _eig2_sym(gap)
-                worst = min(worst, float(eigs[0]))
+        gaps = (upsilon - blk.k0) - sin_mu * blk.k1 - cos_mu * blk.k2
+        worst = min(worst, float(np.linalg.eigvalsh(gaps).min()))
     return worst
 
 
@@ -190,16 +137,7 @@ def optimize_trig_blocks(trig: TrigBlocks, certify: bool = True,
     per_block = {}
     contributions = {}
     for J, blk in trig.blocks.items():
-        if blk.dim == 1:
-            mu, contrib = _single_from_coeffs(*blk.trace_coeffs())
-            per_block[J] = SingleEstimate(mu)
-        elif blk.dim == 2:
-            _, pair, contrib = _pair_from_block(blk)
-            per_block[J] = pair
-        else:
-            raise UnsupportedBlockError(
-                f"block J={J} has dimension {blk.dim}; only dimensions <= 2 are solved")
-        contributions[J] = contrib
+        per_block[J], contributions[J] = _block_optimum(J, blk)
     povm = PovmSpec(per_block)
     cert = _certificate(trig, povm, grid) if certify else None
     return OptimizationResult(

@@ -44,6 +44,8 @@ class GenericState:
         for j1, a in self.amplitudes:
             if isinstance(a, complex):
                 raise DomainError("amplitudes must be real")
+            if not math.isfinite(a):
+                raise DomainError(f"amplitude of j1={j1} is not finite: {a!r}")
             check_jm(j1, self.m1)
             if j1 in seen:
                 raise DomainError(f"duplicate j1 label {j1}")
@@ -125,10 +127,11 @@ class BlockedOperator:
         return max(float(np.abs(m - m.T).max()) for _, m in self.blocks.values())
 
 
-def coupling_structure(state: GenericState, j2: HalfInt) -> list[tuple[HalfInt, tuple[HalfInt, ...]]]:
-    """Ordered (J, contributing j1 labels) pairs for the given preparation."""
+def coupling_structure(state: GenericState | tuple[HalfInt, ...],
+                       j2: HalfInt) -> list[tuple[HalfInt, tuple[HalfInt, ...]]]:
+    """Ordered (J, contributing j1 labels) pairs for a preparation or its j1 labels."""
     j2 = half(j2)
-    js = state.j_labels
+    js = state.j_labels if isinstance(state, GenericState) else state
     all_J = sorted({J for j1 in js for J in couple_range(j1, j2)}, key=lambda J: J.twice)
     out = []
     for J in all_J:

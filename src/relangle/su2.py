@@ -9,12 +9,27 @@ enter the estimation observables, so the generator sign is unobservable.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 
 class DomainError(ValueError):
     """Invalid angular momentum labels (e.g. |m| > j or mismatched parity)."""
+
+
+def _on_twice(op, wrap=None):
+    """HalfInt method applying op to doubled values; a bare int counts at its value."""
+    def method(self, other):
+        if isinstance(other, HalfInt):
+            t = other.twice
+        elif isinstance(other, int):
+            t = 2 * other
+        else:
+            return NotImplemented
+        out = op(self.twice, t)
+        return out if wrap is None else wrap(out)
+    return method
 
 
 class HalfInt:
@@ -53,11 +68,13 @@ class HalfInt:
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
 
-    def __add__(self, other):
-        return HalfInt(self.twice + HalfInt(other).twice)
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - HalfInt(other).twice)
+    __add__ = _on_twice(operator.add, lambda t: HalfInt(t))
+    __sub__ = _on_twice(operator.sub, lambda t: HalfInt(t))
+    __eq__ = _on_twice(operator.eq)
+    __lt__ = _on_twice(operator.lt)
+    __le__ = _on_twice(operator.le)
+    __gt__ = _on_twice(operator.gt)
+    __ge__ = _on_twice(operator.ge)
 
     def __neg__(self):
         return HalfInt(-self.twice)
@@ -65,27 +82,9 @@ class HalfInt:
     def __abs__(self):
         return HalfInt(abs(self.twice))
 
-    def __eq__(self, other):
-        if isinstance(other, HalfInt):
-            return self.twice == other.twice
-        if isinstance(other, int):
-            return self.twice == 2 * other
-        return NotImplemented
-
-    def __lt__(self, other):
-        return self.twice < HalfInt(other).twice
-
-    def __le__(self, other):
-        return self.twice <= HalfInt(other).twice
-
-    def __gt__(self, other):
-        return self.twice > HalfInt(other).twice
-
-    def __ge__(self, other):
-        return self.twice >= HalfInt(other).twice
-
     def __hash__(self):
-        return hash(("HalfInt", self.twice))
+        # integral values hash as the equal int, so hashing agrees with ==
+        return hash(self.twice // 2 if self.twice % 2 == 0 else self.twice / 2)
 
     def __float__(self):
         return self.twice / 2.0

@@ -124,6 +124,12 @@ class TestErrorHandling:
         assert main(["certify", "--j2", "1", "--state", str(f)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_amplitude_exits_one(self, tmp_path, capsys):
+        f = tmp_path / "nan.txt"
+        f.write_text("m1=0\nj1=0 a=nan\nj1=1 a=nan\n", encoding="utf-8")
+        assert main(["certify", "--j2", "1/2", "--state", str(f)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_state_file_exits_one(self, capsys):
         assert main(["certify", "--j2", "1/2", "--state",
                      "/nonexistent/state.txt"]) == 1

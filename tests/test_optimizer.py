@@ -9,12 +9,14 @@ from relangle.estimator import (
     PairEstimate,
     PovmSpec,
     SingleEstimate,
+    TrigBlock,
     block_dims,
     fidelity,
     signal_trig_blocks,
 )
 from relangle.optimizer import (
     UnsupportedBlockError,
+    _block_optimum,
     golden_max,
     helstrom_certificate,
     max_fidelity,
@@ -76,6 +78,61 @@ class TestSingleEstimate:
             optimal_single_estimate(GenericState.two_term(0.6), "1/2", "1/2")
 
 
+def dense_pair_reference(blk, points=200001):
+    """max over mu in [0, pi/2] of tr A(mu) + sum of positive eigenvalues of A(pi - mu) - A(mu)."""
+    mu = np.linspace(0.0, math.pi / 2.0, points)[:, None, None]
+    a_mu = blk.k0 + np.sin(mu) * blk.k1 + np.cos(mu) * blk.k2
+    a_conj = blk.k0 + np.sin(mu) * blk.k1 - np.cos(mu) * blk.k2
+    eigs = np.linalg.eigvalsh(a_conj - a_mu)
+    vals = np.trace(a_mu, axis1=1, axis2=2) + np.where(eigs > 0.0, eigs, 0.0).sum(axis=1)
+    return float(vals.max())
+
+
+def povm_value(blk, estimate):
+    if isinstance(estimate, SingleEstimate):
+        return float(np.trace(blk.at(estimate.mu)))
+    return sum(float(np.trace(blk.at(mu) @ e)) for mu, e in estimate.elements())
+
+
+SIGNAL_CASES = [
+    (GenericState.two_term(0.609), j2) for j2 in ("1/2", 1, "5/2", 7)
+] + [
+    (GenericState.from_dict("1/2", {"1/2": 0.8, "3/2": 0.6}), j2) for j2 in ("1/2", 2, "9/2")
+] + [
+    (GenericState.from_dict(1, {1: math.cos(0.4), 2: math.sin(0.4)}), j2) for j2 in (1, "3/2", 6)
+]
+
+NEGATIVE_K1_BLOCKS = [
+    TrigBlock((half(0),), np.array([[0.3]]), np.array([[-0.1]]), np.array([[0.05]])),
+    TrigBlock((half(0),), np.array([[0.3]]), np.array([[-0.1]]), np.array([[-0.05]])),
+    TrigBlock((half(0), half(1)), np.array([[0.2, 0.01], [0.01, 0.1]]),
+              np.array([[-0.05, 0.02], [0.02, 0.01]]),
+              np.array([[0.03, -0.04], [-0.04, -0.02]])),
+]
+
+
+class TestBlockOptimum:
+    """The closed form against a dense scan of the (nu, pi - nu) pair objective."""
+
+    @pytest.mark.parametrize("state,j2", SIGNAL_CASES)
+    def test_signal_blocks_match_dense_scan(self, state, j2):
+        for J, blk in signal_trig_blocks(state, half(j2)).blocks.items():
+            estimate, contrib = _block_optimum(J, blk)
+            ref = dense_pair_reference(blk)
+            assert ref - 1e-13 <= contrib <= ref + 1e-10
+            assert povm_value(blk, estimate) == pytest.approx(contrib, abs=1e-13)
+
+    @pytest.mark.parametrize("blk", NEGATIVE_K1_BLOCKS)
+    def test_negative_trace_k1_takes_endpoint(self, blk):
+        estimate, contrib = _block_optimum(half(0), blk)
+        ref = dense_pair_reference(blk)
+        assert contrib == pytest.approx(ref, abs=1e-15)
+        assert povm_value(blk, estimate) == pytest.approx(contrib, abs=1e-15)
+        mus = ([estimate.mu] if isinstance(estimate, SingleEstimate)
+               else [mu for mu, _ in estimate.elements()])
+        assert all(mu in (0.0, math.pi) for mu in mus)
+
+
 class TestPairEstimateBlock:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(UnsupportedBlockError):
@@ -130,7 +187,7 @@ class TestMaxFidelity:
 
     def test_rejects_large_blocks(self):
         # three j1 values all couple into J=1 with j2=1: dimension 3
-        with pytest.raises(UnsupportedBlockError):
+        with pytest.raises(UnsupportedBlockError, match="J=1 "):
             max_fidelity(THREE_TERM, 1)
 
     @pytest.mark.parametrize("state", [GenericState.parallel(),

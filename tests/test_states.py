@@ -191,6 +191,11 @@ class TestSerialization:
         assert lines[0] == "m1=1/2"
         assert lines[1].startswith("j1=1/2 a=")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_rejected(self, value):
+        with pytest.raises(DomainError):
+            state_from_text(f"m1=0\nj1=0 a={value}\nj1=1 a={value}\n")
+
     def test_malformed_input(self):
         with pytest.raises(ValueError):
             state_from_text("j1=0 a=1.0\n")  # missing m1

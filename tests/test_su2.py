@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from relangle.su2 import (
@@ -48,6 +49,34 @@ class TestHalfInt:
 
     def test_hashable(self):
         assert len({half(1), HalfInt(2), half("1/2")}) == 2
+
+    def test_bare_int_is_a_physical_value(self):
+        assert HalfInt(1) + 1 == half("3/2")
+        assert HalfInt(3) - 1 == half("1/2")
+        assert HalfInt(1) < 1
+        assert not HalfInt(2) > 1
+        assert {HalfInt(2): 0}.get(1) == 0
+        # the constructor alone keeps the doubled reading
+        assert HalfInt(1) == half("1/2")
+
+    def test_non_integral_operand_rejected(self):
+        with pytest.raises(TypeError):
+            HalfInt(1) + 0.5
+        with pytest.raises(TypeError):
+            HalfInt(1) < 0.5
+
+    @given(st.integers(-60, 60), st.integers(-30, 30))
+    def test_int_operand_matches_half(self, twice, n):
+        h = HalfInt(twice)
+        assert h + n == h + half(n) == HalfInt(twice + 2 * n)
+        assert h - n == h - half(n) == HalfInt(twice - 2 * n)
+        assert (h == n) == (h == half(n)) == (twice == 2 * n)
+        assert (h < n) == (h < half(n)) == (twice < 2 * n)
+        assert (h <= n) == (h <= half(n)) == (twice <= 2 * n)
+        assert (h > n) == (h > half(n)) == (twice > 2 * n)
+        assert (h >= n) == (h >= half(n)) == (twice >= 2 * n)
+        if h == n:
+            assert hash(h) == hash(n)
 
 
 class TestRanges:
