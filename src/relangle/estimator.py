@@ -22,6 +22,8 @@ from .states import (
 )
 
 _PSD_TOL = 1e-12
+# squared-amplitude entries fidelity_montecarlo holds at once
+_MC_CHUNK_ELEMENTS = 2 ** 18
 
 
 class StructureMismatchError(ValueError):
@@ -216,7 +218,10 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
 
     Draws beta from the sin(beta)/2 prior, picks an outcome from the exact
     per-outcome probabilities, and averages the utility of the outcome's
-    estimate.  Deterministic for fixed (seed, samples).
+    estimate.  Deterministic for fixed (seed, samples).  Costs
+    O(samples * (2j2+1) * outcomes) time; the squared amplitudes and outcome
+    probabilities are formed for max(1, 2**18 // (2j2+1)) samples at a time,
+    so beyond a few per-sample vectors memory does not grow with samples.
     """
     j2 = half(j2)
     if samples < 1:
@@ -248,21 +253,25 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
         - math.lgamma((j2.twice + m2.twice) // 2 + 1)
         - math.lgamma((j2.twice - m2.twice) // 2 + 1)
         for m2 in ms
-    ])
-    a_pow = np.array([(j2.twice + m2.twice) // 2 for m2 in ms], dtype=float)
-    b_pow = np.array([(j2.twice - m2.twice) // 2 for m2 in ms], dtype=float)
+    ])[:, None]
+    a_pow = np.array([(j2.twice + m2.twice) // 2 for m2 in ms], dtype=float)[:, None]
+    b_pow = np.array([(j2.twice - m2.twice) // 2 for m2 in ms], dtype=float)[:, None]
 
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, samples)  # cos(beta), the prior in disguise
-    with np.errstate(divide="ignore"):
-        log_c2 = np.log(np.maximum((1.0 + u) / 2.0, 1e-300))
-        log_s2 = np.log(np.maximum((1.0 - u) / 2.0, 1e-300))
-    dsq = np.exp(log_binom[:, None] + a_pow[:, None] * log_c2[None, :]
-                 + b_pow[:, None] * log_s2[None, :])
-    probs = np.clip(coef @ dsq, 0.0, None)  # (outcomes, samples)
-    cum = np.cumsum(probs, axis=0)
-    draw = rng.uniform(0.0, 1.0, samples) * cum[-1]
-    idx = (draw[None, :] > cum).sum(axis=0).clip(max=len(mus) - 1)
+    pick = rng.uniform(0.0, 1.0, samples)
+    idx = np.empty(samples, dtype=np.intp)
+    chunk = max(1, _MC_CHUNK_ELEMENTS // len(ms))
+    for lo in range(0, samples, chunk):
+        uc = u[lo:lo + chunk]
+        with np.errstate(divide="ignore"):
+            log_c2 = np.log(np.maximum((1.0 + uc) / 2.0, 1e-300))
+            log_s2 = np.log(np.maximum((1.0 - uc) / 2.0, 1e-300))
+        dsq = np.exp(log_binom + a_pow * log_c2[None, :] + b_pow * log_s2[None, :])
+        probs = np.clip(coef @ dsq, 0.0, None)  # (outcomes, chunk)
+        cum = np.cumsum(probs, axis=0)
+        draw = pick[lo:lo + chunk] * cum[-1]
+        idx[lo:lo + chunk] = (draw[None, :] > cum).sum(axis=0).clip(max=len(mus) - 1)
 
     mu_sel = mus[idx]
     sin_b = np.sqrt(np.maximum(1.0 - u * u, 0.0))

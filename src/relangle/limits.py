@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .su2 import DomainError, HalfInt, half, m_range, wigner_d
-from .states import BlockedOperator, GenericState, averaged_state
+from .states import BlockedOperator, GenericState, averaged_state, check_beta
 from .estimator import TrigBlock, TrigBlocks
 from .optimizer import OptimizationResult, optimize_trig_blocks, max_fidelity, optimize_state
 
@@ -35,8 +35,7 @@ def _m_structure(state: GenericState) -> list[tuple[HalfInt, tuple[HalfInt, ...]
 
 def classical_sigma(state: GenericState, beta: float) -> BlockedOperator:
     """<j' m|sigma(beta)|j m> = a_{j'} a_j d^{j'}_{m m1}(beta) d^{j}_{m m1}(beta)."""
-    if not 0.0 <= beta <= math.pi + 1e-12:
-        raise DomainError(f"beta = {beta} outside [0, pi]")
+    check_beta(beta)
     out = BlockedOperator()
     for m, basis in _m_structure(state):
         amp_d = np.array([state.amplitude(j) * wigner_d(j, m, state.m1, beta) for j in basis])
@@ -49,19 +48,16 @@ def classical_trig_blocks(state: GenericState) -> TrigBlocks:
     nodes, weights = leggauss(_QUAD_NODES)
     betas = (nodes + 1.0) * (math.pi / 2.0)
     weights = weights * (math.pi / 2.0)
-    blocks: dict[HalfInt, TrigBlock] = {}
-    for m, basis in _m_structure(state):
-        dim = len(basis)
-        k0 = np.zeros((dim, dim))
-        k1 = np.zeros((dim, dim))
-        k2 = np.zeros((dim, dim))
-        for b, w in zip(betas, weights):
-            mat = classical_sigma(state, b).blocks[m][1]
-            sb = math.sin(b)
-            k0 += w * mat * (sb / 4.0)
-            k1 += w * mat * (sb * sb / 4.0)
-            k2 += w * mat * (math.cos(b) * sb / 4.0)
-        blocks[m] = TrigBlock(basis, k0, k1, k2)
+    blocks = {m: TrigBlock(basis, *(np.zeros((len(basis), len(basis))) for _ in range(3)))
+              for m, basis in _m_structure(state)}
+    for b, w in zip(betas, weights):
+        sigma = classical_sigma(state, b)
+        sb = math.sin(b)
+        for m, blk in blocks.items():
+            mat = sigma.blocks[m][1]
+            blk.k0 += w * mat * (sb / 4.0)
+            blk.k1 += w * mat * (sb * sb / 4.0)
+            blk.k2 += w * mat * (math.cos(b) * sb / 4.0)
     return TrigBlocks(blocks)
 
 

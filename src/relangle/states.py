@@ -27,6 +27,19 @@ from .su2 import (
 )
 
 _NORM_TOL = 1e-12
+_BETA_TOL = 1e-12
+# rotations drawn per RNG call by the oracle; fixes its sample stream
+_ORACLE_BATCH = 20000
+# per-sample outer-product entries the oracle holds at once
+_ORACLE_CHUNK_ELEMENTS = 2 ** 18
+
+
+def check_beta(beta: float) -> None:
+    """Raise DomainError unless beta is a finite angle in [0, pi]."""
+    if not math.isfinite(beta):
+        raise DomainError(f"beta = {beta!r} is not finite")
+    if not 0.0 <= beta <= math.pi + _BETA_TOL:
+        raise DomainError(f"beta = {beta} outside [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -150,10 +163,19 @@ def _cg_column(j1: HalfInt, m1: HalfInt, j2: HalfInt, J: HalfInt) -> np.ndarray:
     return col
 
 
+def _m_index(j: HalfInt, m: HalfInt) -> int:
+    """Position of weight m in m_range(j)."""
+    return (j.twice + m.twice) // 2
+
+
+def _highest_weight_vector(j2: HalfInt, beta: float) -> np.ndarray:
+    """d^{j2}_{m2, j2}(beta) over m2 = -j2..j2."""
+    return np.array([wigner_d_highest(j2, m2, beta) for m2 in m_range(j2)])
+
+
 def highest_weight_profile(j2: HalfInt, beta: float) -> np.ndarray:
     """(d^{j2}_{m2, j2}(beta))^2 over m2 = -j2..j2."""
-    j2 = half(j2)
-    return np.array([wigner_d_highest(j2, m2, beta) ** 2 for m2 in m_range(j2)])
+    return _highest_weight_vector(half(j2), beta) ** 2
 
 
 def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOperator:
@@ -163,8 +185,7 @@ def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOper
     C^{J M}_{j1 m1, j2 m2} C^{J M}_{j1' m1, j2 m2}, M = m1+m2.  Total trace 1.
     """
     j2 = half(j2)
-    if not 0.0 <= beta <= math.pi + 1e-12:
-        raise DomainError(f"beta = {beta} outside [0, pi]")
+    check_beta(beta)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
     dsq = highest_weight_profile(j2, beta)
@@ -202,11 +223,12 @@ def product_basis_labels(state: GenericState, j2: HalfInt) -> list[tuple[HalfInt
 def signal_density(state: GenericState, j2: HalfInt, beta: float) -> np.ndarray:
     """Unaveraged |Psi(beta)><Psi(beta)| on the embedding product space."""
     j2 = half(j2)
-    vec2 = np.array([wigner_d_highest(j2, m2, beta) for m2 in m_range(j2)])
+    check_beta(beta)
+    vec2 = _highest_weight_vector(j2, beta)
     parts = []
     for j1, a in state.amplitudes:
         v1 = np.zeros(j1.twice + 1)
-        v1[[m.twice for m in m_range(j1)].index(state.m1.twice)] = a
+        v1[_m_index(j1, state.m1)] = a
         parts.append(np.kron(v1, vec2))
     psi = np.concatenate(parts)
     return np.outer(psi, psi)
@@ -249,60 +271,68 @@ def _d_matrix_batch(j: HalfInt, betas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotation_batch(js: tuple[HalfInt, ...], alphas, betas, gammas) -> np.ndarray:
-    """Block-diagonal D(alpha,beta,gamma) over the listed irreps, per sample."""
-    n = alphas.size
-    dim = sum(j.twice + 1 for j in js)
-    out = np.zeros((n, dim, dim), dtype=complex)
-    off = 0
-    for j in js:
-        ms = np.array([float(m) for m in m_range(j)])
-        d = _d_matrix_batch(j, betas)
-        phase_row = np.exp(-1j * np.outer(alphas, ms))
-        phase_col = np.exp(-1j * np.outer(gammas, ms))
-        block = phase_row[:, :, None] * d * phase_col[:, None, :]
-        sl = slice(off, off + j.twice + 1)
-        out[:, sl, sl] = block
-        off += j.twice + 1
-    return out
+def _rotated_signal(state: GenericState, j2: HalfInt, w: np.ndarray,
+                    alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Rows (D1 (x) D2)(alpha, beta, gamma) |Psi>, shape (n, product dim).
+
+    |Psi> = sum_{j1} a_{j1} |j1 m1> (x) w, so each sample needs one column
+    D^{j1}[:, m1] per label and one matrix-vector product D^{j2} w, with
+    D^j_{m'm} = exp(-i alpha m') d^j_{m'm}(beta) exp(-i gamma m).
+    """
+    ms2 = np.array([float(m) for m in m_range(j2)])
+    w_rot = np.einsum("sij,sj->si", _d_matrix_batch(j2, betas),
+                      np.exp(-1j * np.outer(gammas, ms2)) * w)
+    w_rot *= np.exp(-1j * np.outer(alphas, ms2))
+    m1 = state.m1
+    parts = []
+    for j1, a in state.amplitudes:
+        ms1 = np.array([float(m) for m in m_range(j1)])
+        col = _d_matrix_batch(j1, betas)[:, :, _m_index(j1, m1)]
+        col = a * np.exp(-1j * (np.outer(alphas, ms1) + float(m1) * gammas[:, None])) * col
+        parts.append((col[:, :, None] * w_rot[:, None, :]).reshape(betas.size, -1))
+    return np.concatenate(parts, axis=1)
 
 
 def averaged_state_oracle(state: GenericState, j2: HalfInt, beta: float,
                           samples: int, seed: int,
-                          batch_size: int = 20000,
                           fixed_rotation: tuple[float, float, float] | None = None,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo Haar average of U rho(beta) U^dag on the full product space.
 
     Returns (mean, stderr); stderr combines real and imaginary scatter per
-    entry.  Deterministic for fixed (seed, samples); batches reduce in order.
-    With fixed_rotation the sampler is bypassed (identity check support).
+    entry.  rho(beta) is pure, so each sample rotates the state vector v and
+    adds v v^dag: O(samples * d^2) time for product dimension d.  Euler
+    angles are drawn 20000 samples per RNG call, so the result is
+    deterministic for fixed (seed, samples); the outer products are formed
+    about 2**18 entries at a time, so memory stays O(d^2) plus the angles of
+    one draw.  With fixed_rotation the sampler is bypassed (identity check
+    support).
     """
     j2 = half(j2)
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    rho = signal_density(state, j2, beta)
-    dim = rho.shape[0]
+    check_beta(beta)
+    w = _highest_weight_vector(j2, beta)
+    dim = (j2.twice + 1) * sum(j1.twice + 1 for j1 in state.j_labels)
+    chunk = max(1, _ORACLE_CHUNK_ELEMENTS // (dim * dim))
     rng = np.random.default_rng(seed)
     total = np.zeros((dim, dim), dtype=complex)
     total_sq = np.zeros((dim, dim))
     done = 0
     while done < samples:
-        n = min(batch_size, samples - done)
+        n = min(_ORACLE_BATCH, samples - done)
         if fixed_rotation is not None:
-            al = np.full(n, fixed_rotation[0])
-            bt = np.full(n, fixed_rotation[1])
-            gm = np.full(n, fixed_rotation[2])
+            al, bt, gm = (np.full(n, float(x)) for x in fixed_rotation)
         else:
             al = rng.uniform(0.0, 2.0 * math.pi, n)
             bt = np.arccos(rng.uniform(-1.0, 1.0, n))
             gm = rng.uniform(0.0, 2.0 * math.pi, n)
-        u1 = _rotation_batch(state.j_labels, al, bt, gm)
-        u2 = _rotation_batch((j2,), al, bt, gm)
-        u = (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(n, dim, dim)
-        rotated = np.einsum("sij,jk,slk->sil", u, rho, u.conj())
-        total += rotated.sum(axis=0)
-        total_sq += (np.abs(rotated) ** 2).sum(axis=0)
+        for lo in range(0, n, chunk):
+            sl = slice(lo, lo + chunk)
+            v = _rotated_signal(state, j2, w, al[sl], bt[sl], gm[sl])
+            rotated = v[:, :, None] * v[:, None, :].conj()
+            total += rotated.sum(axis=0)
+            total_sq += (np.abs(rotated) ** 2).sum(axis=0)
         done += n
     mean = total / samples
     var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)

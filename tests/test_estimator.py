@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,3 +222,27 @@ class TestFidelityMonteCarlo:
         povm = max_fidelity(state, "1/2", certify=False).povm
         with pytest.raises(DomainError):
             fidelity_montecarlo(state, "1/2", povm, samples=0, seed=0)
+
+    def test_peak_memory_bounded_at_large_j2(self):
+        # one 201 x 60000 float array alone would take about 100 MB
+        state = GenericState.two_term(0.609)
+        povm = max_fidelity(state, 100, certify=False).povm
+        fidelity_montecarlo(state, 100, povm, samples=10, seed=0)  # warm the caches
+        tracemalloc.start()
+        try:
+            fidelity_montecarlo(state, 100, povm, samples=60000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    def test_several_chunks(self):
+        # 2**18 // 21 = 12483 samples per chunk at j2 = 10
+        state = GenericState.antiparallel()
+        result = max_fidelity(state, 10, certify=False)
+        samples = 3 * (2 ** 18 // 21) + 1
+        r1 = fidelity_montecarlo(state, 10, result.povm, samples=samples, seed=5)
+        r2 = fidelity_montecarlo(state, 10, result.povm, samples=samples, seed=5)
+        assert r1 == r2
+        est, err = r1
+        assert abs(est - fidelity(state, 10, result.povm)) < 5.0 * err

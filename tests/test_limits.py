@@ -5,6 +5,7 @@ import pytest
 
 from relangle.su2 import DomainError, half, m_range, wigner_d
 from relangle.states import GenericState
+from relangle import limits
 from relangle.limits import (
     asymptotic_deviation,
     classical_fidelity,
@@ -25,6 +26,11 @@ class TestClassicalSigma:
     def test_domain_check(self):
         with pytest.raises(DomainError):
             classical_sigma(GenericState.parallel(), -0.2)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 3.5])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(DomainError):
+            classical_sigma(GenericState.parallel(), beta)
 
     @pytest.mark.parametrize("state", NAMED)
     @pytest.mark.parametrize("beta", [0.0, 0.4, math.pi / 2, 2.7, math.pi])
@@ -61,6 +67,19 @@ class TestClassicalFidelity:
         floor = sum(float(np.trace(b.k0)) for b in trig.blocks.values()) \
             + sum(float(np.trace(b.k1)) for b in trig.blocks.values())
         assert floor == pytest.approx(BLIND_GUESS, abs=1e-10)
+
+    def test_one_sigma_per_node(self, monkeypatch):
+        calls = []
+        real = limits.classical_sigma
+
+        def counting(state, beta):
+            calls.append(beta)
+            return real(state, beta)
+
+        monkeypatch.setattr(limits, "classical_sigma", counting)
+        trig = classical_trig_blocks(GenericState.from_dict(0, {1: 0.6, 3: 0.8}))
+        assert len(trig.blocks) == 7
+        assert len(calls) == 200
 
     @pytest.mark.parametrize("state", NAMED)
     def test_bounds(self, state):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from relangle.su2 import DomainError, half
+from relangle.su2 import DomainError, half, m_range, wigner_d
 from relangle.states import (
     GenericState,
     averaged_state,
@@ -132,7 +134,57 @@ class TestOverlapDistribution:
             coherent_overlap_distribution(GenericState.antiparallel(), "1/2", 0.3)
 
 
+BAD_BETAS = [math.nan, math.inf, -0.2, 3.5]
+
+
+def dense_rotation(js, alpha, beta, gamma):
+    """Block-diagonal D(alpha, beta, gamma) over js from scalar wigner_d."""
+    return block_diag(*(
+        np.array([[np.exp(-1j * alpha * float(mr)) * wigner_d(half(j), mr, mc, beta)
+                   * np.exp(-1j * gamma * float(mc)) for mc in m_range(half(j))]
+                  for mr in m_range(half(j))])
+        for j in js))
+
+
 class TestOracle:
+    @pytest.mark.parametrize("state", [
+        GenericState.two_term(0.6),
+        GenericState.from_dict("1/2", {"1/2": 0.8, "3/2": 0.6}),
+        GenericState.from_dict(1, {1: math.cos(0.4), 2: math.sin(0.4)}),
+    ], ids=["m1=0", "m1=1/2", "m1=1"])
+    @pytest.mark.parametrize("j2", ["1/2", "1", "3/2", "2"])
+    @pytest.mark.parametrize("rotation", [(0.3, 1.2, 2.5), (5.9, 2.8, 0.7), (1.7, 0.05, 4.4)])
+    def test_fixed_rotation_matches_dense_conjugation(self, state, j2, rotation):
+        beta = 1.3
+        u = np.kron(dense_rotation(state.j_labels, *rotation),
+                    dense_rotation([half(j2)], *rotation))
+        rho = signal_density(state, j2, beta)
+        mean, _ = averaged_state_oracle(state, j2, beta, samples=1, seed=0,
+                                        fixed_rotation=rotation)
+        assert np.abs(mean - u @ rho @ u.conj().T).max() < 1e-12
+
+    def test_peak_memory_bounded(self):
+        # one full 20000-sample batch; a (20000, 16, 16) complex stack alone is 82 MB
+        state = GenericState.two_term(0.6)
+        averaged_state_oracle(state, "3/2", 1.0, samples=10, seed=0)  # warm the caches
+        tracemalloc.start()
+        try:
+            averaged_state_oracle(state, "3/2", 1.0, samples=20000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    @pytest.mark.parametrize("beta", BAD_BETAS)
+    def test_rejects_bad_beta(self, beta):
+        state = GenericState.antiparallel()
+        with pytest.raises(DomainError):
+            averaged_state_oracle(state, "1/2", beta, samples=10, seed=0)
+        with pytest.raises(DomainError):
+            signal_density(state, "1/2", beta)
+        with pytest.raises(DomainError):
+            averaged_state(state, "1/2", beta)
+
     def test_identity_rotation_returns_unrotated_density(self):
         state = GenericState.antiparallel()
         mean, stderr = averaged_state_oracle(state, "1/2", 0.7, samples=1, seed=0,
