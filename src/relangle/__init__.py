@@ -14,6 +14,7 @@ from .su2 import (
     m_range,
     wigner_d,
     wigner_d_highest,
+    wigner_d_matrix,
 )
 from .states import (
     BlockedOperator,
@@ -69,6 +70,7 @@ __all__ = [
     "m_range",
     "wigner_d",
     "wigner_d_highest",
+    "wigner_d_matrix",
     "BlockedOperator",
     "GenericState",
     "averaged_state",

@@ -220,8 +220,9 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     per-outcome probabilities, and averages the utility of the outcome's
     estimate.  Deterministic for fixed (seed, samples).  Costs
     O(samples * (2j2+1) * outcomes) time; the squared amplitudes and outcome
-    probabilities are formed for max(1, 2**18 // (2j2+1)) samples at a time,
-    so beyond a few per-sample vectors memory does not grow with samples.
+    probabilities are formed and the utilities summed for max(1, 2**18 //
+    (2j2+1)) samples at a time, so only the two per-sample uniforms grow
+    with samples.
     """
     j2 = half(j2)
     if samples < 1:
@@ -260,7 +261,7 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, samples)  # cos(beta), the prior in disguise
     pick = rng.uniform(0.0, 1.0, samples)
-    idx = np.empty(samples, dtype=np.intp)
+    total = total_sq = 0.0  # running sums of the utility and its square
     chunk = max(1, _MC_CHUNK_ELEMENTS // len(ms))
     for lo in range(0, samples, chunk):
         uc = u[lo:lo + chunk]
@@ -268,14 +269,14 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
             log_c2 = np.log(np.maximum((1.0 + uc) / 2.0, 1e-300))
             log_s2 = np.log(np.maximum((1.0 - uc) / 2.0, 1e-300))
         dsq = np.exp(log_binom + a_pow * log_c2[None, :] + b_pow * log_s2[None, :])
-        probs = np.clip(coef @ dsq, 0.0, None)  # (outcomes, chunk)
-        cum = np.cumsum(probs, axis=0)
+        cum = np.cumsum(np.clip(coef @ dsq, 0.0, None), axis=0)  # (outcomes, chunk)
         draw = pick[lo:lo + chunk] * cum[-1]
-        idx[lo:lo + chunk] = (draw[None, :] > cum).sum(axis=0).clip(max=len(mus) - 1)
-
-    mu_sel = mus[idx]
-    sin_b = np.sqrt(np.maximum(1.0 - u * u, 0.0))
-    utils = 0.5 * (1.0 + np.cos(mu_sel) * u + np.sin(mu_sel) * sin_b)
-    est = float(utils.mean())
-    stderr = float(utils.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        mu_sel = mus[(draw[None, :] > cum).sum(axis=0).clip(max=len(mus) - 1)]
+        sin_b = np.sqrt(np.maximum(1.0 - uc * uc, 0.0))
+        utils = 0.5 * (1.0 + np.cos(mu_sel) * uc + np.sin(mu_sel) * sin_b)
+        total += float(utils.sum())
+        total_sq += float(utils @ utils)
+    est = total / samples
+    var = max(total_sq - samples * est * est, 0.0) / (samples - 1) if samples > 1 else 0.0
+    stderr = math.sqrt(var / samples)
     return est, stderr

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .su2 import DomainError, HalfInt, half, m_range, wigner_d
-from .states import BlockedOperator, GenericState, averaged_state, check_beta
+from .su2 import DomainError, HalfInt, half, m_range, wigner_d_matrix
+from .states import BlockedOperator, GenericState, _m_index, averaged_state, check_beta
 from .estimator import TrigBlock, TrigBlocks
 from .optimizer import OptimizationResult, optimize_trig_blocks, max_fidelity, optimize_state
 
@@ -36,9 +36,11 @@ def _m_structure(state: GenericState) -> list[tuple[HalfInt, tuple[HalfInt, ...]
 def classical_sigma(state: GenericState, beta: float) -> BlockedOperator:
     """<j' m|sigma(beta)|j m> = a_{j'} a_j d^{j'}_{m m1}(beta) d^{j}_{m m1}(beta)."""
     check_beta(beta)
+    cols = {j: a * wigner_d_matrix(j, beta)[0, :, _m_index(j, state.m1)]
+            for j, a in state.amplitudes}
     out = BlockedOperator()
     for m, basis in _m_structure(state):
-        amp_d = np.array([state.amplitude(j) * wigner_d(j, m, state.m1, beta) for j in basis])
+        amp_d = np.array([cols[j][_m_index(j, m)] for j in basis])
         out.blocks[m] = (basis, np.outer(amp_d, amp_d))
     return out
 

@@ -22,8 +22,8 @@ from .su2 import (
     couple_range,
     half,
     m_range,
-    wigner_d,
     wigner_d_highest,
+    wigner_d_matrix,
 )
 
 _NORM_TOL = 1e-12
@@ -234,43 +234,6 @@ def signal_density(state: GenericState, j2: HalfInt, beta: float) -> np.ndarray:
     return np.outer(psi, psi)
 
 
-def _d_terms(j: HalfInt) -> list[tuple[int, int, list[tuple[float, int, int]]]]:
-    """Summation-term tables for d^j: per (row, col), (coeff, cos_pow, sin_pow)."""
-    ms = m_range(j)
-    tables = []
-    for r, mr in enumerate(ms):
-        for c, mc in enumerate(ms):
-            jpr = (j.twice + mr.twice) // 2
-            jmr = (j.twice - mr.twice) // 2
-            jpc = (j.twice + mc.twice) // 2
-            jmc = (j.twice - mc.twice) // 2
-            rmc = (mr.twice - mc.twice) // 2
-            pref = math.sqrt(math.factorial(jpr) * math.factorial(jmr)
-                             * math.factorial(jpc) * math.factorial(jmc))
-            terms = []
-            for k in range(max(0, -rmc), min(jpc, jmr) + 1):
-                denom = (math.factorial(jpc - k) * math.factorial(k)
-                         * math.factorial(jmr - k) * math.factorial(rmc + k))
-                coeff = (-1.0 if (rmc + k) % 2 else 1.0) * pref / denom
-                terms.append((coeff, jpc + jmr - 2 * k, rmc + 2 * k))
-            tables.append((r, c, terms))
-    return tables
-
-
-def _d_matrix_batch(j: HalfInt, betas: np.ndarray) -> np.ndarray:
-    """Stack of small-d matrices d^j(beta), shape (n, 2j+1, 2j+1)."""
-    dim = j.twice + 1
-    cc = np.cos(betas / 2.0)
-    ss = np.sin(betas / 2.0)
-    out = np.zeros((betas.size, dim, dim))
-    for r, c, terms in _d_terms(j):
-        acc = np.zeros(betas.size)
-        for coeff, pc, ps in terms:
-            acc += coeff * cc ** pc * ss ** ps
-        out[:, r, c] = acc
-    return out
-
-
 def _rotated_signal(state: GenericState, j2: HalfInt, w: np.ndarray,
                     alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Rows (D1 (x) D2)(alpha, beta, gamma) |Psi>, shape (n, product dim).
@@ -280,14 +243,14 @@ def _rotated_signal(state: GenericState, j2: HalfInt, w: np.ndarray,
     D^j_{m'm} = exp(-i alpha m') d^j_{m'm}(beta) exp(-i gamma m).
     """
     ms2 = np.array([float(m) for m in m_range(j2)])
-    w_rot = np.einsum("sij,sj->si", _d_matrix_batch(j2, betas),
+    w_rot = np.einsum("sij,sj->si", wigner_d_matrix(j2, betas),
                       np.exp(-1j * np.outer(gammas, ms2)) * w)
     w_rot *= np.exp(-1j * np.outer(alphas, ms2))
     m1 = state.m1
     parts = []
     for j1, a in state.amplitudes:
         ms1 = np.array([float(m) for m in m_range(j1)])
-        col = _d_matrix_batch(j1, betas)[:, :, _m_index(j1, m1)]
+        col = wigner_d_matrix(j1, betas)[:, :, _m_index(j1, m1)]
         col = a * np.exp(-1j * (np.outer(alphas, ms1) + float(m1) * gammas[:, None])) * col
         parts.append((col[:, :, None] * w_rot[:, None, :]).reshape(betas.size, -1))
     return np.concatenate(parts, axis=1)

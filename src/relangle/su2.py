@@ -13,6 +13,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Invalid angular momentum labels (e.g. |m| > j or mismatched parity)."""
@@ -139,13 +141,38 @@ def _lfact(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-# Largest doubled-j handled through exact integer square roots inside
-# wigner_d; beyond this the log-gamma path avoids float overflow.
-_EXACT_TWICE_J_MAX = 30
+@lru_cache(maxsize=None)
+def _jy_eigenbasis(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues -j..j of J_y and the Re and Im parts of its flattened projectors."""
+    m = np.arange(-twice_j, twice_j + 1, 2) / 2.0
+    # <m+1|J_y|m> = -i sqrt(j(j+1) - m(m+1)) / 2, with j = m[-1]
+    half_raise = 0.5j * np.sqrt(m[-1] * (m[-1] + 1.0) - m[:-1] * (m[:-1] + 1.0))
+    # eigenvalues ascend, so eigenvector column k belongs to the exact eigenvalue m[k]
+    _, vecs = np.linalg.eigh(np.diag(half_raise, 1) - np.diag(half_raise, -1))
+    proj = np.einsum("ik,jk->kij", vecs, vecs.conj()).reshape(twice_j + 1, -1)
+    return m, proj.real.copy(), proj.imag.copy()
+
+
+def wigner_d_matrix(j: HalfInt, betas) -> np.ndarray:
+    """Stack of small-d matrices d^j(beta) over m = -j..j, shape (n, 2j+1, 2j+1).
+
+    d^j(beta) = exp(-i*beta*Jy) = Re sum_k exp(-i*beta*lambda_k) v_k v_k^dag
+    over the cached J_y eigenbasis (Feng, Wang, Yang & Jin, PRE 92, 043307
+    (2015)), so it stays orthogonal to roundoff at any j.  Any finite beta is
+    a rotation; a non-finite one raises DomainError.
+    """
+    j = HalfInt(j)
+    check_jm(j, j)
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    if not np.isfinite(betas).all():
+        raise DomainError(f"beta = {betas[~np.isfinite(betas)][0]} is not finite")
+    lam, re_proj, im_proj = _jy_eigenbasis(j.twice)
+    phase = np.outer(betas, lam)
+    return (np.cos(phase) @ re_proj + np.sin(phase) @ im_proj).reshape(-1, j.twice + 1, j.twice + 1)
 
 
 def wigner_d(j: HalfInt, m_row: HalfInt, m_col: HalfInt, beta: float) -> float:
-    """Real Wigner small-d element d^j_{m_row, m_col}(beta).
+    """Real Wigner small-d element d^j_{m_row, m_col}(beta): one entry of wigner_d_matrix.
 
     Convention: d^j_{m'm}(beta) = <j m'| exp(-i*beta*Jy) |j m>, so that
     rotating the highest-weight state gives U(beta)|j j> = sum_m d^j_{m j}|j m>.
@@ -153,40 +180,7 @@ def wigner_d(j: HalfInt, m_row: HalfInt, m_col: HalfInt, beta: float) -> float:
     j, mr, mc = HalfInt(j), HalfInt(m_row), HalfInt(m_col)
     check_jm(j, mr)
     check_jm(j, mc)
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    # all factorial arguments below are genuine integers (doubled values share parity)
-    jpr = (j.twice + mr.twice) // 2
-    jmr = (j.twice - mr.twice) // 2
-    jpc = (j.twice + mc.twice) // 2
-    jmc = (j.twice - mc.twice) // 2
-    rmc = (mr.twice - mc.twice) // 2  # m' - m
-    k_min = max(0, -rmc)
-    k_max = min(jpc, jmr)
-    terms = []
-    if j.twice <= _EXACT_TWICE_J_MAX:
-        pref = math.sqrt(_fact(jpr) * _fact(jmr) * _fact(jpc) * _fact(jmc))
-        for k in range(k_min, k_max + 1):
-            sign = -1.0 if (rmc + k) % 2 else 1.0
-            denom = _fact(jpc - k) * _fact(k) * _fact(jmr - k) * _fact(rmc + k)
-            terms.append(sign * pref / denom * c ** (jpc + jmr - 2 * k) * s ** (rmc + 2 * k))
-    else:
-        lpref = 0.5 * (_lfact(jpr) + _lfact(jmr) + _lfact(jpc) + _lfact(jmc))
-        lc = math.log(abs(c)) if c != 0.0 else -math.inf
-        ls = math.log(abs(s)) if s != 0.0 else -math.inf
-        for k in range(k_min, k_max + 1):
-            pc = jpc + jmr - 2 * k
-            ps = rmc + 2 * k
-            if (pc > 0 and c == 0.0) or (ps > 0 and s == 0.0):
-                continue
-            sign = -1.0 if (rmc + k) % 2 else 1.0
-            if c < 0.0 and pc % 2:
-                sign = -sign
-            ldenom = _lfact(jpc - k) + _lfact(k) + _lfact(jmr - k) + _lfact(rmc + k)
-            terms.append(sign * math.exp(lpref - ldenom + pc * lc + ps * ls))
-    # summing smallest magnitude first limits cancellation at large j
-    terms.sort(key=abs)
-    return math.fsum(terms)
+    return float(wigner_d_matrix(j, beta)[0, (j.twice + mr.twice) // 2, (j.twice + mc.twice) // 2])
 
 
 def wigner_d_highest(j: HalfInt, m: HalfInt, beta: float) -> float:

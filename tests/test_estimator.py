@@ -206,6 +206,8 @@ class TestFidelityMonteCarlo:
         povm = PovmSpec({J: SingleEstimate(math.pi / 2) for J in dims})
         est, err = fidelity_montecarlo(state, "1/2", povm, samples=100000, seed=1)
         assert abs(est - BLIND_GUESS) < 4.0 * err
+        # utility (1 + sin beta) / 2 has variance (2/3 - pi^2/16) / 4 under the prior
+        assert err == pytest.approx(math.sqrt((2 / 3 - math.pi ** 2 / 16) / 4 / 100000), rel=0.02)
 
     @pytest.mark.parametrize("state", [GenericState.parallel(),
                                        GenericState.antiparallel(),
@@ -235,6 +237,19 @@ class TestFidelityMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+    def test_peak_memory_bounded_in_samples(self):
+        # the two per-sample uniforms take 16 MB; ten per-sample arrays would take 80 MB
+        state = GenericState.antiparallel()
+        povm = max_fidelity(state, 10, certify=False).povm
+        fidelity_montecarlo(state, 10, povm, samples=10, seed=0)  # warm the caches
+        tracemalloc.start()
+        try:
+            fidelity_montecarlo(state, 10, povm, samples=10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
     def test_several_chunks(self):
         # 2**18 // 21 = 12483 samples per chunk at j2 = 10

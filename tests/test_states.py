@@ -3,9 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, expm
 
-from relangle.su2 import DomainError, half, m_range, wigner_d
+from relangle.su2 import DomainError, half, m_range
 from relangle.states import (
     GenericState,
     averaged_state,
@@ -138,12 +138,16 @@ BAD_BETAS = [math.nan, math.inf, -0.2, 3.5]
 
 
 def dense_rotation(js, alpha, beta, gamma):
-    """Block-diagonal D(alpha, beta, gamma) over js from scalar wigner_d."""
-    return block_diag(*(
-        np.array([[np.exp(-1j * alpha * float(mr)) * wigner_d(half(j), mr, mc, beta)
-                   * np.exp(-1j * gamma * float(mc)) for mc in m_range(half(j))]
-                  for mr in m_range(half(j))])
-        for j in js))
+    """Block-diagonal D(alpha, beta, gamma) over js, from expm(-i beta J_y)."""
+    blocks = []
+    for j in js:
+        ms = np.array([float(m) for m in m_range(half(j))])
+        jv = float(half(j))
+        raising = np.sqrt(jv * (jv + 1) - ms[:-1] * (ms[:-1] + 1))  # <m+1|J+|m>
+        jy = (np.diag(raising, -1) - np.diag(raising, 1)) / 2j
+        blocks.append(np.exp(-1j * alpha * ms)[:, None] * expm(-1j * beta * jy)
+                      * np.exp(-1j * gamma * ms)[None, :])
+    return block_diag(*blocks)
 
 
 class TestOracle:
@@ -152,7 +156,7 @@ class TestOracle:
         GenericState.from_dict("1/2", {"1/2": 0.8, "3/2": 0.6}),
         GenericState.from_dict(1, {1: math.cos(0.4), 2: math.sin(0.4)}),
     ], ids=["m1=0", "m1=1/2", "m1=1"])
-    @pytest.mark.parametrize("j2", ["1/2", "1", "3/2", "2"])
+    @pytest.mark.parametrize("j2", ["1/2", "1", "3/2", "2", "40"])
     @pytest.mark.parametrize("rotation", [(0.3, 1.2, 2.5), (5.9, 2.8, 0.7), (1.7, 0.05, 4.4)])
     def test_fixed_rotation_matches_dense_conjugation(self, state, j2, rotation):
         beta = 1.3

@@ -14,6 +14,7 @@ from relangle.su2 import (
     m_range,
     wigner_d,
     wigner_d_highest,
+    wigner_d_matrix,
 )
 
 
@@ -109,7 +110,7 @@ class TestWignerD:
         with pytest.raises(DomainError):
             wigner_d(half(1), half("1/2"), half(1), 0.3)
 
-    @pytest.mark.parametrize("twice_j", [1, 2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("twice_j", [1, 2, 3, 4, 6, 8, 40, 81])
     def test_matches_generator_exponentiation(self, twice_j):
         j = HalfInt(twice_j)
         ms = [float(m) for m in m_range(j)]
@@ -121,13 +122,18 @@ class TestWignerD:
                 c = math.sqrt(float(j) * (float(j) + 1) - m * (m + 1))
                 jy[k + 1, k] += c / 2j
                 jy[k, k + 1] -= c / 2j
-        for beta in (0.3, 1.2, 2.9):
+        betas = (0.3, 1.2, 2.9)
+        # the scalar accessor: every entry up to 2j = 8, a strided subset beyond
+        labels = m_range(j)
+        picks = range(0, dim, max(1, twice_j // 8))
+        for beta, d in zip(betas, wigner_d_matrix(j, betas)):
             u = expm(-1j * beta * jy)
-            for r, mr in enumerate(m_range(j)):
-                for c, mc in enumerate(m_range(j)):
-                    assert wigner_d(j, mr, mc, beta) == pytest.approx(
+            assert np.abs(u.imag).max() < 1e-12
+            assert np.abs(d - u.real).max() < 1e-12
+            for r in picks:
+                for c in picks:
+                    assert wigner_d(j, labels[r], labels[c], beta) == pytest.approx(
                         u[r, c].real, abs=1e-12)
-                    assert abs(u[r, c].imag) < 1e-12
 
     def test_unitarity(self):
         for twice_j in range(1, 9):
@@ -137,13 +143,27 @@ class TestWignerD:
                               for mr in m_range(j)])
                 assert np.abs(d.T @ d - np.eye(twice_j + 1)).max() < 1e-12
 
-    def test_large_j_paths_agree(self):
-        # straddle the exact-factorial / log-gamma switchover
-        for twice_j in (30, 31, 32):
+    def test_orthogonal_at_large_j(self):
+        betas = (0.0, 1.3, 2.9, math.pi)
+        for twice_j in (30, 31, 32, 40, 81, 100, 200):
             j = HalfInt(twice_j)
-            d = np.array([[wigner_d(j, mr, mc, 0.9) for mc in m_range(j)]
-                          for mr in m_range(j)])
-            assert np.abs(d.T @ d - np.eye(twice_j + 1)).max() < 1e-10
+            eye = np.eye(twice_j + 1)
+            stack = wigner_d_matrix(j, betas)
+            assert stack.shape == (len(betas), twice_j + 1, twice_j + 1)
+            for d in stack:
+                assert np.abs(d.T @ d - eye).max() <= 1e-13
+            assert np.abs(stack[0] - eye).max() <= 1e-13
+            mid = m_range(j)[twice_j // 2]
+            assert wigner_d(j, mid, mid, 0.0) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(DomainError):
+            wigner_d(half(1), half(0), half(0), beta)
+        with pytest.raises(DomainError):
+            wigner_d_matrix(half(1), beta)
+        with pytest.raises(DomainError):
+            wigner_d_matrix(half(1), [0.3, beta])
 
 
 class TestWignerDHighest:
@@ -168,6 +188,12 @@ class TestWignerDHighest:
             for m in m_range(j):
                 assert wigner_d_highest(j, m, 1.1) == pytest.approx(
                     wigner_d(j, m, j, 1.1), abs=1e-13)
+        for twice_j in (3, 8, 40, 81, 100, 200):
+            j = HalfInt(twice_j)
+            for beta in (0.4, 1.1, 2.9):
+                highest = np.array([wigner_d_highest(j, m, beta) for m in m_range(j)])
+                column = wigner_d_matrix(j, beta)[0, :, -1]
+                assert np.abs(highest - column).max() <= 1e-13
 
 
 class TestClebschGordan:
