@@ -233,16 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        j2=HalfInt.parse(args.j2),
-        a_grid_step=getattr(args, "a_grid_step", 0.01),
-        mu_grid=getattr(args, "mu_grid", 1001),
-        samples=getattr(args, "samples", 100000),
-        seed=getattr(args, "seed", 0),
-        state=args.state,
-        output_path=args.output,
-    )
+    # options a subcommand lacks keep RunConfig's defaults
+    extra = {k: v for k, v in vars(args).items() if k in ("a_grid_step", "mu_grid", "samples", "seed")}
+    return RunConfig(command=args.command, j2=HalfInt.parse(args.j2), state=args.state,
+                     output_path=args.output, **extra)
 
 
 def run(config: RunConfig) -> int:

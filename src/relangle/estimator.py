@@ -18,6 +18,7 @@ from .states import (
     BlockedOperator,
     GenericState,
     _cg_column,
+    _cg_contract,
     coupling_structure,
 )
 
@@ -104,25 +105,10 @@ class TrigBlocks:
 @lru_cache(maxsize=None)
 def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
     """Amplitude-independent CG/moment contractions per (J, j1, j1') entry."""
-    trips = {}
-    ms = m_range(j2)
-    P = np.array([moment_integrals(j2, m2).P for m2 in ms])
-    Q = np.array([moment_integrals(j2, m2).Q for m2 in ms])
-    R = np.array([moment_integrals(j2, m2).R for m2 in ms])
-    for J, basis in coupling_structure(js, j2):
-        cols = [_cg_column(j1, m1, j2, J) for j1 in basis]
-        dim = len(basis)
-        g0 = np.empty((dim, dim))
-        g1 = np.empty((dim, dim))
-        g2 = np.empty((dim, dim))
-        for i in range(dim):
-            for k in range(i, dim):
-                prod = cols[i] * cols[k]
-                g0[i, k] = g0[k, i] = float(np.dot(P, prod))
-                g1[i, k] = g1[k, i] = float(np.dot(Q, prod))
-                g2[i, k] = g2[k, i] = float(np.dot(R, prod))
-        trips[J] = (basis, g0, g1, g2)
-    return trips
+    moments = [moment_integrals(j2, m2) for m2 in m_range(j2)]
+    weights = np.array([(t.P, t.Q, t.R) for t in moments]).T  # rows P, Q, R over m2
+    return {J: (basis, *_cg_contract(m1, j2, J, basis, weights))
+            for J, basis in coupling_structure(js, j2)}
 
 
 def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:

@@ -5,8 +5,10 @@ form.  Since A(pi - mu) - A(mu) = -2 cos(mu) k2, the best (nu, pi - nu) pair
 measures in the mu-independent eigenbasis of k2 and earns
 tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1, largest at
 nu = atan2(tr k1, ||k2||_1); a 1-dim block is the same formula with a single
-outcome.  Optimality of a reported POVM is certified by scanning the minimum
-eigenvalue of Upsilon - A_mu over a dense mu grid.
+outcome.  No eigensolver is needed for the value, so the preparation search
+values whole amplitude grids in one array pass.  Optimality of a reported POVM
+is certified by scanning the minimum eigenvalue of Upsilon - A_mu over a dense
+mu grid.
 """
 from __future__ import annotations
 
@@ -22,13 +24,17 @@ from .estimator import (
     SingleEstimate,
     TrigBlock,
     TrigBlocks,
+    _geometry,
     signal_trig_blocks,
 )
 from .states import GenericState
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 CERTIFICATE_GRID = 1001
 CERTIFICATE_PASS = -1e-9
+# points per bracket-shrinking pass of optimize_state: each pass narrows 500x
+_REFINE_POINTS = 1001
+# (a, b, c) places of k2 in the solved 1- and 2-dim blocks, built once
+_UPPER = {1: np.triu_indices(1), 2: np.triu_indices(2)}
 
 
 class UnsupportedBlockError(ValueError):
@@ -48,22 +54,11 @@ class OptimizationResult:
                 and self.certificate_min_eigenvalue >= CERTIFICATE_PASS)
 
 
-def golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+def _block_value(t0, t1, a, b=0.0, c=0.0):
+    """tr k0 + hypot(max(tr k1, 0), ||k2||_1) and nu for k2 = [[a, b], [b, c]], elementwise."""
+    t1 = np.maximum(t1, 0.0)
+    norm = np.maximum(np.abs(a + c), np.hypot(a - c, 2.0 * b))  # ||k2||_1; 1-dim: b = c = 0
+    return t0 + np.hypot(t1, norm), np.arctan2(t1, norm)
 
 
 def _block_optimum(J: HalfInt, blk: TrigBlock) -> tuple[SingleEstimate | PairEstimate, float]:
@@ -76,13 +71,11 @@ def _block_optimum(J: HalfInt, blk: TrigBlock) -> tuple[SingleEstimate | PairEst
     if blk.dim > 2:
         raise UnsupportedBlockError(
             f"block J={J} has dimension {blk.dim}; only dimensions <= 2 are solved")
-    t1 = max(float(np.trace(blk.k1)), 0.0)
-    lam, vecs = np.linalg.eigh(blk.k2)
-    norm = float(np.abs(lam).sum())
-    nu = math.atan2(t1, norm)
-    contrib = float(np.trace(blk.k0)) + math.hypot(t1, norm)
+    contrib, nu = map(float, _block_value(np.trace(blk.k0), np.trace(blk.k1),
+                                          *blk.k2[_UPPER[blk.dim]]))
     if blk.dim == 1:
-        return SingleEstimate(nu if lam[0] > 0.0 else math.pi - nu), contrib
+        return SingleEstimate(nu if blk.k2[0, 0] > 0.0 else math.pi - nu), contrib
+    lam, vecs = np.linalg.eigh(blk.k2)
     pos = vecs[:, lam > 0.0]
     proj_nu = pos @ pos.T
     return PairEstimate(nu=nu, proj_nu=proj_nu, proj_conjugate=np.eye(2) - proj_nu), contrib
@@ -165,30 +158,49 @@ def two_term_nu(a: float) -> float:
                      / (8.0 * a * math.sqrt(1.0 - a * a)))
 
 
+def _fidelities(m1: HalfInt, labels: tuple[HalfInt, ...], j2: HalfInt,
+                rows: np.ndarray) -> np.ndarray:
+    """max_fidelity(...).fidelity for each (n, len(labels)) amplitude row at once."""
+    total = np.zeros(len(rows))
+    for basis, g0, g1, g2 in _geometry(m1, labels, j2).values():
+        x = rows[:, [labels.index(j1) for j1 in basis]]
+        i, k = _UPPER[len(basis)]
+        total += _block_value((x * x) @ g0.diagonal(), (x * x) @ g1.diagonal(),
+                              *(x[:, i] * x[:, k] * g2[i, k]).T)[0]
+    return total
+
+
 def optimize_state(j2: HalfInt, coarse_step: float = 0.001,
                    tol: float = 1e-8) -> tuple[float, HalfInt, OptimizationResult]:
     """Best preparation amplitude over the m1=0 two-term family vs the parallel state.
 
-    Coarse grid over a in [0, 1] (endpoints included) followed by golden-section
-    refinement; returns (a_star, winning m1 sector, optimization result).
+    One array pass values a coarse grid over a in [0, 1] (endpoints included);
+    further passes shrink the bracket around the best point to at most tol,
+    keeping the best value seen.  Returns (a_star, winning m1 sector, result).
     """
     j2 = half(j2)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
-
-    def f0(a: float) -> float:
-        trig = signal_trig_blocks(GenericState.two_term(a), j2)
-        return optimize_trig_blocks(trig, certify=False).fidelity
-
+    if not (math.isfinite(coarse_step) and 0.0 < coarse_step <= 0.5):
+        raise DomainError(f"coarse_step = {coarse_step!r} must lie in (0, 0.5]")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol = {tol!r} must be finite and positive")
+    m1, labels = half(0), (half(0), half(1))
     n = int(round(1.0 / coarse_step))
-    grid = [min(1.0, i * coarse_step) for i in range(n + 1)]
-    vals = [f0(a) for a in grid]
-    best = int(np.argmax(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, n)]
-    a_star = golden_max(f0, lo, hi, tol=tol)
-    if f0(a_star) < vals[best]:
-        a_star = grid[best]
+    grid = np.minimum(1.0, np.arange(n + 1) * coarse_step)
+    a_star, f_star, width = 0.0, -math.inf, math.inf
+    while True:
+        rows = np.stack([grid, np.sqrt(np.maximum(0.0, 1.0 - grid * grid))], axis=1)
+        vals = _fidelities(m1, labels, j2, rows)
+        best = int(np.argmax(vals))
+        if vals[best] > f_star:
+            a_star, f_star = float(grid[best]), vals[best]
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        # a bracket that roundoff no longer shrinks ends the search as well
+        if hi - lo <= tol or hi - lo >= width:
+            break
+        width = hi - lo
+        grid = np.linspace(lo, hi, _REFINE_POINTS)
     result0 = max_fidelity(GenericState.two_term(a_star), j2)
 
     result1 = max_fidelity(GenericState.parallel(), j2)

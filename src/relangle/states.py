@@ -163,6 +163,13 @@ def _cg_column(j1: HalfInt, m1: HalfInt, j2: HalfInt, J: HalfInt) -> np.ndarray:
     return col
 
 
+def _cg_contract(m1: HalfInt, j2: HalfInt, J: HalfInt, basis: tuple[HalfInt, ...], w: np.ndarray) -> np.ndarray:
+    """sum_{m2} w(m2) C^J_{j1 m1, j2 m2} C^J_{j1' m1, j2 m2} over (j1, j1') in basis, per row of w."""
+    cols = np.array([_cg_column(j1, m1, j2, J) for j1 in basis])
+    # multiplied out before the sum, so each (dim, dim) result is exactly symmetric
+    return (cols[:, None, :] * cols[None, :, :] * w[..., None, None, :]).sum(axis=-1)
+
+
 def _m_index(j: HalfInt, m: HalfInt) -> int:
     """Position of weight m in m_range(j)."""
     return (j.twice + m.twice) // 2
@@ -171,11 +178,6 @@ def _m_index(j: HalfInt, m: HalfInt) -> int:
 def _highest_weight_vector(j2: HalfInt, beta: float) -> np.ndarray:
     """d^{j2}_{m2, j2}(beta) over m2 = -j2..j2."""
     return np.array([wigner_d_highest(j2, m2, beta) for m2 in m_range(j2)])
-
-
-def highest_weight_profile(j2: HalfInt, beta: float) -> np.ndarray:
-    """(d^{j2}_{m2, j2}(beta))^2 over m2 = -j2..j2."""
-    return _highest_weight_vector(half(j2), beta) ** 2
 
 
 def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOperator:
@@ -188,18 +190,11 @@ def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOper
     check_beta(beta)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
-    dsq = highest_weight_profile(j2, beta)
+    dsq = _highest_weight_vector(j2, beta) ** 2
     out = BlockedOperator()
     for J, basis in coupling_structure(state, j2):
-        cols = [_cg_column(j1, state.m1, j2, J) for j1 in basis]
-        amps = [state.amplitude(j1) for j1 in basis]
-        dim = len(basis)
-        mat = np.empty((dim, dim))
-        for i in range(dim):
-            for k in range(i, dim):
-                v = amps[i] * amps[k] * float(np.dot(dsq * cols[i], cols[k]))
-                mat[i, k] = mat[k, i] = v
-        out.blocks[J] = (basis, mat)
+        amps = np.array([state.amplitude(j1) for j1 in basis])
+        out.blocks[J] = (basis, np.outer(amps, amps) * _cg_contract(state.m1, j2, J, basis, dsq))
     return out
 
 
@@ -328,18 +323,14 @@ def blocks_from_full_matrix(state: GenericState, j2: HalfInt, full: np.ndarray) 
     """Reduce a full product-space operator to M-summed (J, j1, j1') blocks."""
     V, labels = coupled_basis_matrix(state, j2)
     coupled = V.T @ full.real @ V
+    cols: dict[tuple[HalfInt, HalfInt], list[int]] = {}  # per (J, j1), in ascending M
+    for c, (J, _, j1) in enumerate(labels):
+        cols.setdefault((J, j1), []).append(c)
     out = BlockedOperator()
     for J, basis in coupling_structure(state, j2):
-        dim = len(basis)
-        mat = np.zeros((dim, dim))
-        for i, j1 in enumerate(basis):
-            for k, j1p in enumerate(basis):
-                for c1, (Jc, Mc, jc) in enumerate(labels):
-                    if Jc == J and jc == j1:
-                        for c2, (Jd, Md, jd) in enumerate(labels):
-                            if Jd == J and jd == j1p and Md == Mc:
-                                mat[i, k] += coupled[c1, c2]
-        out.blocks[J] = (basis, mat)
+        # sum over M of the (J M j1, J M j1') entries: the diagonal of each sub-block
+        out.blocks[J] = (basis, np.array([[np.trace(coupled[np.ix_(cols[J, a], cols[J, b])])
+                                           for b in basis] for a in basis]))
     return out
 
 

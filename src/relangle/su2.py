@@ -66,10 +66,6 @@ class HalfInt:
             raise ValueError(f"{text!r} is not a half-integer")
         return cls(int(2 * frac))
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     __add__ = _on_twice(operator.add, lambda t: HalfInt(t))
     __sub__ = _on_twice(operator.sub, lambda t: HalfInt(t))
     __eq__ = _on_twice(operator.eq)
@@ -137,20 +133,28 @@ def _fact(n: int) -> int:
     return math.factorial(n)
 
 
-def _lfact(n: int) -> float:
-    return math.lgamma(n + 1)
-
-
 @lru_cache(maxsize=None)
 def _jy_eigenbasis(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues -j..j of J_y and the Re and Im parts of its flattened projectors."""
+    """Eigenvalues -j..j of J_y, the non-zero parts of its projectors P_k = v_k v_k^dag, their places.
+
+    T = diag(i^r)^dag J_y diag(i^r) is real tridiagonal with eigenvectors w_k, so
+    P_k[r, c] = i^(r-c) w_k[r] w_k[c] is real for even r - c, imaginary for odd.
+    Row k holds those (2j+1)^2 reals, even r - c first; `place` gives each
+    column's flat (r, c) index.
+    """
     m = np.arange(-twice_j, twice_j + 1, 2) / 2.0
-    # <m+1|J_y|m> = -i sqrt(j(j+1) - m(m+1)) / 2, with j = m[-1]
-    half_raise = 0.5j * np.sqrt(m[-1] * (m[-1] + 1.0) - m[:-1] * (m[:-1] + 1.0))
+    # <m+1|T|m> = -sqrt(j(j+1) - m(m+1)) / 2, with j = m[-1]
+    off = -0.5 * np.sqrt(m[-1] * (m[-1] + 1.0) - m[:-1] * (m[:-1] + 1.0))
     # eigenvalues ascend, so eigenvector column k belongs to the exact eigenvalue m[k]
-    _, vecs = np.linalg.eigh(np.diag(half_raise, 1) - np.diag(half_raise, -1))
-    proj = np.einsum("ik,jk->kij", vecs, vecs.conj()).reshape(twice_j + 1, -1)
-    return m, proj.real.copy(), proj.imag.copy()
+    _, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    r, c = np.divmod(np.arange(m.size ** 2), m.size)
+    place = np.argsort((r - c) % 2, kind="stable")
+    r, c = r[place], c[place]
+    sign = np.where((r - c) // 2 % 2, -1.0, 1.0)  # the real or imaginary part of i^(r-c)
+    proj = np.empty((m.size, place.size))
+    for k, w in enumerate(vecs.T):  # row by row, so no second (2j+1)^3 array is formed
+        proj[k] = sign * w[r] * w[c]
+    return m, proj, place
 
 
 def wigner_d_matrix(j: HalfInt, betas) -> np.ndarray:
@@ -166,9 +170,14 @@ def wigner_d_matrix(j: HalfInt, betas) -> np.ndarray:
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if not np.isfinite(betas).all():
         raise DomainError(f"beta = {betas[~np.isfinite(betas)][0]} is not finite")
-    lam, re_proj, im_proj = _jy_eigenbasis(j.twice)
-    phase = np.outer(betas, lam)
-    return (np.cos(phase) @ re_proj + np.sin(phase) @ im_proj).reshape(-1, j.twice + 1, j.twice + 1)
+    lam, proj, place = _jy_eigenbasis(j.twice)
+    phase = np.outer(lam, betas)
+    n_even = (place.size + 1) // 2
+    # beta last, so each scattered row is one contiguous run; cos meets Re P, sin Im P
+    out = np.empty((place.size, betas.size))
+    out[place[:n_even]] = proj[:, :n_even].T @ np.cos(phase)
+    out[place[n_even:]] = proj[:, n_even:].T @ np.sin(phase)
+    return out.reshape(lam.size, lam.size, -1).transpose(2, 0, 1)
 
 
 def wigner_d(j: HalfInt, m_row: HalfInt, m_col: HalfInt, beta: float) -> float:
@@ -198,7 +207,7 @@ def wigner_d_highest(j: HalfInt, m: HalfInt, beta: float) -> float:
     if (a > 0 and c == 0.0) or (b > 0 and s == 0.0):
         return 0.0
     # assemble in log space to dodge overflow of binom(200, 100)
-    lbinom = _lfact(a + b) - _lfact(a) - _lfact(b)
+    lbinom = math.lgamma(a + b + 1) - math.lgamma(a + 1) - math.lgamma(b + 1)
     log_mag = 0.5 * lbinom
     if a > 0:
         log_mag += a * math.log(abs(c))

@@ -24,7 +24,6 @@ from relangle.estimator import (
     signal_trig_blocks,
 )
 from relangle.optimizer import (
-    golden_max,
     helstrom_certificate,
     max_fidelity,
     optimal_pair,

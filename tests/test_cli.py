@@ -3,6 +3,7 @@ import math
 import pytest
 
 from relangle.cli import OUTPUT_DIR_ENV, RunConfig, main
+from relangle.limits import default_sweep_grid
 from relangle.su2 import half
 from relangle.states import GenericState, state_to_text
 
@@ -48,6 +49,19 @@ class TestFidelitySweep:
             assert main(["fidelity-sweep", "--j2", "1/2", "--a-grid-step", "0.05",
                          "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestJ2Sweep:
+    def test_rows_and_determinism(self, tmp_path):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main(["j2-sweep", "--output", str(out)]) == 0
+        header, rows = read_csv(outs[0])
+        assert header == ["j2", "a_star", "F_opt", "F_parallel", "F_antiparallel"]
+        assert [r[0] for r in rows] == [str(j2) for j2 in default_sweep_grid()]
+        assert len(rows) == 25
+        assert abs(float(rows[0][1]) - 0.609) <= 0.005
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestOptimize:

@@ -14,10 +14,12 @@ from relangle.estimator import (
     fidelity,
     signal_trig_blocks,
 )
+import relangle.optimizer as optimizer_module
+from relangle.limits import default_sweep_grid
 from relangle.optimizer import (
     UnsupportedBlockError,
     _block_optimum,
-    golden_max,
+    _fidelities,
     helstrom_certificate,
     max_fidelity,
     optimal_pair,
@@ -27,6 +29,37 @@ from relangle.optimizer import (
 )
 
 THREE_TERM = GenericState.from_dict(0, {0: 0.5, 1: 0.5, 2: math.sqrt(0.5)})
+
+# (a*, F) from optimize_state at its defaults for each j2 of default_sweep_grid(),
+# as returned by the golden-section refinement that preceded the batched bracket
+# search (1001-point grid, golden section to 1e-8); printed with repr() once.
+PINNED_OPTIMA = {
+    "1/2": (0.6092510254958579, 0.9109224222553606),
+    "1": (0.6056721993551222, 0.9201004743959045),
+    "3/2": (0.6035028065654271, 0.925629751931201),
+    "2": (0.6020471434977133, 0.9293255627255799),
+    "5/2": (0.6010027512417644, 0.9319702273656398),
+    "3": (0.6002168750599226, 0.9339563831076472),
+    "7/2": (0.5996040998237759, 0.9355027597316452),
+    "4": (0.5991128926505684, 0.9367408688459379),
+    "9/2": (0.5987103730030114, 0.9377545371329966),
+    "5": (0.5983744854100637, 0.9385997232871568),
+    "11/2": (0.5980899509259456, 0.9393152104470169),
+    "6": (0.5978458286190176, 0.9399287263902132),
+    "13/2": (0.597634107419931, 0.9404606207945376),
+    "7": (0.5974486860716055, 0.9409261662609412),
+    "15/2": (0.597284984773635, 0.941337048735182),
+    "8": (0.5971393792326793, 0.9417023620071838),
+    "17/2": (0.5970090606699072, 0.9420292886900601),
+    "9": (0.596891700810916, 0.942323577235475),
+    "19/2": (0.5967855065300418, 0.942589882869225),
+    "10": (0.5966888884458752, 0.9428320156817375),
+    "15": (0.596054159943002, 0.9444218839990351),
+    "20": (0.595721098806165, 0.9452552781408344),
+    "30": (0.5953768891041162, 0.9461159948786502),
+    "50": (0.5950930809268953, 0.9468251562991415),
+    "100": (0.5948751081689199, 0.9473695210947439),
+}
 
 
 def random_povm(dims, rng):
@@ -41,12 +74,6 @@ def random_povm(dims, rng):
             per_block[J] = PairEstimate(rng.uniform(0.0, math.pi / 2),
                                         p, np.eye(2) - p)
     return PovmSpec(per_block)
-
-
-class TestGoldenMax:
-    def test_recovers_sine_peak(self):
-        x = golden_max(math.sin, 0.0, math.pi, tol=1e-12)
-        assert x == pytest.approx(math.pi / 2, abs=1e-6)
 
 
 class TestSingleEstimate:
@@ -244,3 +271,101 @@ class TestOptimizeState:
         par = max_fidelity(GenericState.parallel(), HalfInt(twice_j2), certify=False)
         assert sector == half(0)
         assert result.fidelity >= par.fidelity - 1e-9
+
+
+def eigen_fidelity(state, j2):
+    """Sum of block values with ||k2||_1 from eigvalsh, independent of the optimizer."""
+    total = 0.0
+    for blk in signal_trig_blocks(state, half(j2)).blocks.values():
+        t0, t1, _ = blk.trace_coeffs()
+        total += t0 + math.hypot(max(t1, 0.0), np.abs(np.linalg.eigvalsh(blk.k2)).sum())
+    return total
+
+
+class TestBatchedFidelities:
+    @pytest.mark.parametrize("j2", ["1/2", "3/2", "7", "50", "100"])
+    def test_two_term_grid_matches_per_state_solve(self, j2):
+        a = np.linspace(0.0, 1.0, 101)
+        rows = np.stack([a, np.sqrt(1.0 - a * a)], axis=1)
+        batched = _fidelities(half(0), (half(0), half(1)), half(j2), rows)
+        assert batched.shape == a.shape
+        for ai, f in zip(a, batched):
+            state = GenericState.two_term(ai)
+            assert f == pytest.approx(max_fidelity(state, j2, certify=False).fidelity, abs=1e-14)
+            assert f == pytest.approx(eigen_fidelity(state, j2), abs=1e-14)
+
+    @pytest.mark.parametrize("m1, labels", [("1/2", ("1/2", "3/2")), ("1", ("1", "2"))])
+    def test_general_rows_match_per_state_solve(self, m1, labels):
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(40, 2))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        labels = tuple(half(j) for j in labels)
+        for j2 in ("1/2", "2", "15"):
+            batched = _fidelities(half(m1), labels, half(j2), rows)
+            for row, f in zip(rows, batched):
+                state = GenericState.from_dict(m1, dict(zip(labels, row)))
+                assert f == pytest.approx(max_fidelity(state, j2, certify=False).fidelity,
+                                          abs=1e-14)
+                assert f == pytest.approx(eigen_fidelity(state, j2), abs=1e-14)
+
+
+class TestSearchParameters:
+    @pytest.fixture(autouse=True)
+    def no_search(self, monkeypatch):
+        # a parameter check placed after the search would fail here, not hang
+        def refuse(*args):
+            raise AssertionError("search ran before the parameter check")
+        monkeypatch.setattr(optimizer_module, "_fidelities", refuse)
+
+    @pytest.mark.parametrize("coarse_step", [0.0, -0.1, math.nan, math.inf, 0.6, 2.0])
+    def test_rejects_bad_coarse_step(self, coarse_step):
+        with pytest.raises(DomainError):
+            optimize_state("1/2", coarse_step=coarse_step)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(DomainError):
+            optimize_state("1/2", tol=tol)
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("j2", default_sweep_grid(), ids=str)
+    def test_matches_pinned_optima(self, j2):
+        a_ref, f_ref = PINNED_OPTIMA[str(j2)]
+        a_star, sector, result = optimize_state(j2)
+        assert sector == half(0)
+        assert abs(a_star - a_ref) <= 1e-7
+        assert abs(result.fidelity - f_ref) <= 1e-14
+
+    def test_two_block_solves_per_search(self, monkeypatch):
+        calls = []
+        solve = optimizer_module.optimize_trig_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("certify", True))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer_module, "optimize_trig_blocks", counting)
+        a_star, _, result = optimize_state("1/2")
+        assert len(calls) <= 2
+        assert result.certified
+
+    def test_widest_coarse_step_still_converges(self):
+        a_star, _, _ = optimize_state("1/2", coarse_step=0.5)
+        assert abs(a_star - PINNED_OPTIMA["1/2"][0]) <= 1e-7
+
+    def test_tiny_tol_stops_when_the_bracket_stalls(self, monkeypatch):
+        # the bracket cannot shrink below the float spacing near a*; a search
+        # that kept going would fail on the pass count here instead of hanging
+        passes = []
+        evaluate = optimizer_module._fidelities
+
+        def counting(*args):
+            passes.append(1)
+            assert len(passes) <= 20, "bracket search did not stop"
+            return evaluate(*args)
+
+        monkeypatch.setattr(optimizer_module, "_fidelities", counting)
+        a_star, _, result = optimize_state("1/2", tol=1e-300)
+        assert abs(a_star - PINNED_OPTIMA["1/2"][0]) <= 1e-7
+        assert result.fidelity >= PINNED_OPTIMA["1/2"][1] - 1e-14

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from relangle.su2 import (
+    _jy_eigenbasis,
     DomainError,
     HalfInt,
     clebsch_gordan,
@@ -155,6 +156,16 @@ class TestWignerD:
             assert np.abs(stack[0] - eye).max() <= 1e-13
             mid = m_range(j)[twice_j // 2]
             assert wigner_d(j, mid, mid, 0.0) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("twice_j", [0, 1, 2, 7, 40])
+    def test_cache_holds_one_real_cube(self, twice_j):
+        # one real (2j+1)^3 projector array beside the 2j+1 eigenvalues
+        dim = twice_j + 1
+        d = wigner_d_matrix(HalfInt(twice_j), [0.0, 0.7])
+        assert np.abs(d[0] - np.eye(dim)).max() <= 1e-13
+        floats = [a for a in _jy_eigenbasis(twice_j) if a.dtype.kind == "f"]
+        assert all(a.dtype == np.float64 for a in floats)
+        assert sum(a.size for a in floats) == dim ** 3 + dim
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_non_finite_beta_rejected(self, beta):
