@@ -19,8 +19,11 @@ from .su2 import DomainError, HalfInt, half
 from .states import GenericState, state_from_text
 from .estimator import PairEstimate, fidelity_montecarlo
 from .optimizer import (
+    CERTIFICATE_GRID,
+    CERTIFICATE_GRID_MIN,
     CERTIFICATE_PASS,
     UnsupportedBlockError,
+    _amplitude_grid,
     helstrom_certificate,
     max_fidelity,
     optimize_state,
@@ -45,7 +48,7 @@ class RunConfig:
     command: str
     j2: HalfInt
     a_grid_step: float = 0.01
-    mu_grid: int = 1001
+    mu_grid: int = CERTIFICATE_GRID
     samples: int = 100000
     seed: int = 0
     state: str = "optimal"
@@ -54,8 +57,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.a_grid_step <= 0.5:
             raise ValueError(f"a_grid_step = {self.a_grid_step} outside (0, 0.5]")
-        if self.mu_grid < 101:
-            raise ValueError(f"mu_grid = {self.mu_grid} below the minimum of 101")
+        if self.mu_grid < CERTIFICATE_GRID_MIN:
+            raise ValueError(f"mu_grid = {self.mu_grid} below the minimum of {CERTIFICATE_GRID_MIN}")
         if self.samples < 1:
             raise ValueError(f"samples = {self.samples} must be >= 1")
         if self.j2.twice < 1:
@@ -109,9 +112,7 @@ def _pair_nu(result) -> float:
 
 def _run_fidelity_sweep(cfg: RunConfig) -> int:
     rows = []
-    n = int(round(1.0 / cfg.a_grid_step))
-    for i in range(n + 1):
-        a = min(1.0, i * cfg.a_grid_step)
+    for a in map(float, _amplitude_grid(cfg.a_grid_step)):
         result = max_fidelity(GenericState.two_term(a), cfg.j2, certify=True)
         rows.append([_fmt(a), _fmt(result.fidelity), _fmt(_pair_nu(result)),
                      _fmt(result.certificate_min_eigenvalue)])
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="optimality certificate for the reported POVM")
     common(p, state_default="parallel")
-    p.add_argument("--mu-grid", type=int, default=1001)
+    p.add_argument("--mu-grid", type=int, default=CERTIFICATE_GRID)
 
     p = sub.add_parser("montecarlo", help="simulate the protocol and compare to the exact fidelity")
     common(p)

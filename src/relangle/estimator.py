@@ -60,8 +60,7 @@ def moment_integrals(j2: HalfInt, m2: HalfInt) -> MomentTriple:
     j2, m2 = half(j2), half(m2)
     check_jm(j2, m2)
     tj = j2.twice
-    a = (j2.twice + m2.twice) // 2
-    b = (j2.twice - m2.twice) // 2
+    a, b = (j2.twice + m2.twice) // 2, (j2.twice - m2.twice) // 2
     P = 1.0 / (2.0 * (tj + 1))
     R = float(m2) / ((tj + 1) * (tj + 2))
     log_q = (
@@ -130,6 +129,16 @@ def a_operator(state: GenericState, j2: HalfInt, mu: float) -> BlockedOperator:
     return signal_trig_blocks(state, j2).at(mu)
 
 
+def _lambda_min(a, b, c):
+    """Smaller eigenvalue of [[a, b], [b, c]], elementwise; a 1-dim block [x] is (x, 0, x)."""
+    return (a + c) / 2.0 - np.hypot((a - c) / 2.0, b)
+
+
+def _sym_entries(m: np.ndarray) -> tuple[float, float, float]:
+    """(a, b, c) of a 1- or 2-dim block, off-diagonal from the lower triangle as eigvalsh reads it."""
+    return m[0, 0], m[-1, 0] if len(m) == 2 else 0.0, m[-1, -1]
+
+
 # ---------------------------------------------------------------------------
 # POVM descriptions
 
@@ -167,14 +176,18 @@ class PovmSpec:
         return spec.elements()
 
     def validate(self, dims: dict[HalfInt, int], tol: float = _PSD_TOL) -> None:
-        """Check per-block completeness and positive semidefiniteness."""
+        """Check finiteness, per-block completeness and positive semidefiniteness."""
         if set(self.per_block) != set(dims):
             raise StructureMismatchError("POVM blocks do not match the coupling structure")
         for J, dim in dims.items():
             els = self.elements(J, dim)
+            if not all(math.isfinite(mu) and np.isfinite(e).all() for mu, e in els):
+                raise DomainError(f"block J={J} has a non-finite estimate or element entry")
+            if isinstance(self.per_block[J], SingleEstimate):
+                continue  # one outcome: the block identity
             acc = np.zeros((dim, dim))
             for _, e in els:
-                if np.linalg.eigvalsh((e + e.T) / 2.0).min() < -tol:
+                if _lambda_min(*_sym_entries((e + e.T) / 2.0)) < -tol:
                     raise StructureMismatchError(f"element on block J={J} not PSD")
                 acc += e
             if np.abs(acc - np.eye(dim)).max() > tol:
@@ -189,8 +202,7 @@ def fidelity(state: GenericState, j2: HalfInt, povm: PovmSpec) -> float:
     """Average fidelity sum_J sum_mu Tr(A^J_mu E^J_mu)."""
     j2 = half(j2)
     trig = signal_trig_blocks(state, j2)
-    dims = {J: blk.dim for J, blk in trig.blocks.items()}
-    povm.validate(dims)
+    povm.validate({J: blk.dim for J, blk in trig.blocks.items()})
     total = 0.0
     for J, blk in trig.blocks.items():
         for mu, element in povm.elements(J, blk.dim):
@@ -214,8 +226,7 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     if samples < 1:
         raise DomainError("samples must be >= 1")
     trig = signal_trig_blocks(state, j2)
-    dims = {J: blk.dim for J, blk in trig.blocks.items()}
-    povm.validate(dims)
+    povm.validate({J: blk.dim for J, blk in trig.blocks.items()})
 
     ms = m_range(j2)
     # probability of each outcome is linear in the squared rotated amplitudes:
@@ -264,5 +275,4 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
         total_sq += float(utils @ utils)
     est = total / samples
     var = max(total_sq - samples * est * est, 0.0) / (samples - 1) if samples > 1 else 0.0
-    stderr = math.sqrt(var / samples)
-    return est, stderr
+    return est, math.sqrt(var / samples)

@@ -79,11 +79,10 @@ def asymptotic_deviation(state: GenericState, j2: HalfInt, beta: float) -> float
         if m not in sigma.blocks:
             raise DomainError(f"quantum block J={J} has no classical partner m={m}")
         s_basis, s_mat = sigma.blocks[m]
-        idx = []
-        for j in basis:
-            if j not in s_basis:
-                raise DomainError(f"label {j} missing from classical block m={m}")
-            idx.append(s_basis.index(j))
+        missing = [j for j in basis if j not in s_basis]
+        if missing:
+            raise DomainError(f"label {missing[0]} missing from classical block m={m}")
+        idx = [s_basis.index(j) for j in basis]
         sub = s_mat[np.ix_(idx, idx)]
         # coupled-basis Clebsch-Gordan phases contribute (-1)^{j - m1} per row
         # in the limit, so off-diagonals flip sign relative to sigma's basis

@@ -8,7 +8,9 @@ nu = atan2(tr k1, ||k2||_1); a 1-dim block is the same formula with a single
 outcome.  No eigensolver is needed for the value, so the preparation search
 values whole amplitude grids in one array pass.  Optimality of a reported POVM
 is certified by scanning the minimum eigenvalue of Upsilon - A_mu over a dense
-mu grid.
+mu grid; every block is 1x1 or 2x2, so that eigenvalue has the closed form
+(a + c)/2 - hypot((a - c)/2, b), and one (blocks x grid) array pass replaces
+any eigensolver.
 """
 from __future__ import annotations
 
@@ -25,11 +27,14 @@ from .estimator import (
     TrigBlock,
     TrigBlocks,
     _geometry,
+    _lambda_min,
+    _sym_entries,
     signal_trig_blocks,
 )
 from .states import GenericState
 
 CERTIFICATE_GRID = 1001
+CERTIFICATE_GRID_MIN = 101
 CERTIFICATE_PASS = -1e-9
 # points per bracket-shrinking pass of optimize_state: each pass narrows 500x
 _REFINE_POINTS = 1001
@@ -54,6 +59,17 @@ class OptimizationResult:
                 and self.certificate_min_eigenvalue >= CERTIFICATE_PASS)
 
 
+def _check_block(J: HalfInt, dim: int) -> None:
+    if dim > 2:
+        raise UnsupportedBlockError(
+            f"block J={J} has dimension {dim}; only dimensions <= 2 are solved")
+
+
+def _check_grid(grid) -> None:
+    if not isinstance(grid, (int, np.integer)) or grid < CERTIFICATE_GRID_MIN:
+        raise DomainError(f"grid = {grid!r} must be an int of at least {CERTIFICATE_GRID_MIN}")
+
+
 def _block_value(t0, t1, a, b=0.0, c=0.0):
     """tr k0 + hypot(max(tr k1, 0), ||k2||_1) and nu for k2 = [[a, b], [b, c]], elementwise."""
     t1 = np.maximum(t1, 0.0)
@@ -68,9 +84,7 @@ def _block_optimum(J: HalfInt, blk: TrigBlock) -> tuple[SingleEstimate | PairEst
     nu = atan2(tr k1, ||k2||_1); the k2 eigenvectors with positive eigenvalue
     take nu, the rest pi - nu.  Clamping tr k1 at 0 gives the endpoint optimum.
     """
-    if blk.dim > 2:
-        raise UnsupportedBlockError(
-            f"block J={J} has dimension {blk.dim}; only dimensions <= 2 are solved")
+    _check_block(J, blk.dim)
     contrib, nu = map(float, _block_value(np.trace(blk.k0), np.trace(blk.k1),
                                           *blk.k2[_UPPER[blk.dim]]))
     if blk.dim == 1:
@@ -81,44 +95,43 @@ def _block_optimum(J: HalfInt, blk: TrigBlock) -> tuple[SingleEstimate | PairEst
     return PairEstimate(nu=nu, proj_nu=proj_nu, proj_conjugate=np.eye(2) - proj_nu), contrib
 
 
-def optimal_single_estimate(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[float, float]:
-    """Best single estimate and its fidelity contribution for a 1-dim block."""
+def _solved_block(state: GenericState, j2: HalfInt, J: HalfInt, dim: int):
     J = half(J)
     blk = signal_trig_blocks(state, half(j2)).blocks[J]
-    if blk.dim != 1:
-        raise UnsupportedBlockError(f"block J={J} has dimension {blk.dim}, expected 1")
-    single, contrib = _block_optimum(J, blk)
+    if blk.dim != dim:
+        raise UnsupportedBlockError(f"block J={J} has dimension {blk.dim}, expected {dim}")
+    return _block_optimum(J, blk)
+
+
+def optimal_single_estimate(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[float, float]:
+    """Best single estimate and its fidelity contribution for a 1-dim block."""
+    single, contrib = _solved_block(state, j2, J, 1)
     return single.mu, contrib
 
 
 def optimal_pair(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[float, PairEstimate, float]:
     """Optimal (nu, pi - nu) two-outcome measurement for a 2-dim block."""
-    J = half(J)
-    blk = signal_trig_blocks(state, half(j2)).blocks[J]
-    if blk.dim != 2:
-        raise UnsupportedBlockError(f"block J={J} has dimension {blk.dim}, expected 2")
-    pair, contrib = _block_optimum(J, blk)
+    pair, contrib = _solved_block(state, j2, J, 2)
     return pair.nu, pair, contrib
 
 
 def _certificate(trig: TrigBlocks, povm: PovmSpec, grid: int) -> float:
-    """Minimum eigenvalue of Upsilon - A_mu over all blocks and a mu grid."""
-    worst = math.inf
-    mu_grid = np.linspace(0.0, math.pi, grid)
-    sin_mu = np.sin(mu_grid)[:, None, None]
-    cos_mu = np.cos(mu_grid)[:, None, None]
+    """Minimum eigenvalue of Upsilon - A_mu over all blocks and a mu grid, in one array pass."""
+    entries = []  # (a, b, c) of Upsilon - k0, k1 and k2 per block
     for J, blk in trig.blocks.items():
-        upsilon = np.zeros((blk.dim, blk.dim))
-        for mu, element in povm.elements(J, blk.dim):
-            upsilon += blk.at(mu) @ element
+        _check_block(J, blk.dim)
+        upsilon = sum(blk.at(mu) @ element for mu, element in povm.elements(J, blk.dim))
         upsilon = (upsilon + upsilon.T) / 2.0
-        gaps = (upsilon - blk.k0) - sin_mu * blk.k1 - cos_mu * blk.k2
-        worst = min(worst, float(np.linalg.eigvalsh(gaps).min()))
-    return worst
+        entries.append([_sym_entries(m) for m in (upsilon - blk.k0, blk.k1, blk.k2)])
+    gap, k1, k2 = np.array(entries).transpose(1, 2, 0)[..., None]  # each (3, blocks, 1)
+    mu = np.linspace(0.0, math.pi, grid)
+    # a plain .min(): a NaN anywhere makes the certificate NaN, which never passes
+    return float(_lambda_min(*(gap - np.sin(mu) * k1 - np.cos(mu) * k2)).min())
 
 
 def helstrom_certificate(state: GenericState, j2: HalfInt, povm: PovmSpec,
                          grid: int = CERTIFICATE_GRID) -> float:
+    _check_grid(grid)
     trig = signal_trig_blocks(state, half(j2))
     povm.validate({J: blk.dim for J, blk in trig.blocks.items()})
     return _certificate(trig, povm, grid)
@@ -127,6 +140,7 @@ def helstrom_certificate(state: GenericState, j2: HalfInt, povm: PovmSpec,
 def optimize_trig_blocks(trig: TrigBlocks, certify: bool = True,
                          grid: int = CERTIFICATE_GRID) -> OptimizationResult:
     """Per-block optimization of any trig-coefficient operator family."""
+    _check_grid(grid)
     per_block = {}
     contributions = {}
     for J, blk in trig.blocks.items():
@@ -170,6 +184,11 @@ def _fidelities(m1: HalfInt, labels: tuple[HalfInt, ...], j2: HalfInt,
     return total
 
 
+def _amplitude_grid(step: float) -> np.ndarray:
+    """0, step, 2 step, ... while below 1 (1e-9 slack for roundoff), then a = 1 exactly once."""
+    return np.append(np.arange(math.ceil(1.0 / step - 1e-9)) * step, 1.0)
+
+
 def optimize_state(j2: HalfInt, coarse_step: float = 0.001,
                    tol: float = 1e-8) -> tuple[float, HalfInt, OptimizationResult]:
     """Best preparation amplitude over the m1=0 two-term family vs the parallel state.
@@ -186,8 +205,7 @@ def optimize_state(j2: HalfInt, coarse_step: float = 0.001,
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol = {tol!r} must be finite and positive")
     m1, labels = half(0), (half(0), half(1))
-    n = int(round(1.0 / coarse_step))
-    grid = np.minimum(1.0, np.arange(n + 1) * coarse_step)
+    grid = _amplitude_grid(coarse_step)
     a_star, f_star, width = 0.0, -math.inf, math.inf
     while True:
         rows = np.stack([grid, np.sqrt(np.maximum(0.0, 1.0 - grid * grid))], axis=1)

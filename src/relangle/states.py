@@ -106,10 +106,7 @@ class GenericState:
 
     def amplitude(self, j1) -> float:
         j1 = half(j1)
-        for jj, a in self.amplitudes:
-            if jj == j1:
-                return a
-        return 0.0
+        return next((a for jj, a in self.amplitudes if jj == j1), 0.0)
 
     def is_coherent(self) -> bool:
         return len(self.amplitudes) == 1 and self.amplitudes[0][0] == self.m1
@@ -131,10 +128,8 @@ class BlockedOperator:
         return self.blocks[half(J)][0]
 
     def min_eigenvalue(self) -> float:
-        lo = math.inf
-        for _, mat in self.blocks.values():
-            lo = min(lo, float(np.linalg.eigvalsh(mat).min()))
-        return lo
+        return min((float(np.linalg.eigvalsh(mat).min()) for _, mat in self.blocks.values()),
+                   default=math.inf)
 
     def max_symmetry_defect(self) -> float:
         return max(float(np.abs(m - m.T).max()) for _, m in self.blocks.values())
@@ -146,11 +141,8 @@ def coupling_structure(state: GenericState | tuple[HalfInt, ...],
     j2 = half(j2)
     js = state.j_labels if isinstance(state, GenericState) else state
     all_J = sorted({J for j1 in js for J in couple_range(j1, j2)}, key=lambda J: J.twice)
-    out = []
-    for J in all_J:
-        basis = tuple(j1 for j1 in js if abs(j1.twice - j2.twice) <= J.twice <= j1.twice + j2.twice)
-        out.append((J, basis))
-    return out
+    return [(J, tuple(j1 for j1 in js if abs(j1.twice - j2.twice) <= J.twice <= j1.twice + j2.twice))
+            for J in all_J]
 
 
 def _cg_column(j1: HalfInt, m1: HalfInt, j2: HalfInt, J: HalfInt) -> np.ndarray:
@@ -294,8 +286,7 @@ def averaged_state_oracle(state: GenericState, j2: HalfInt, beta: float,
         done += n
     mean = total / samples
     var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
-    stderr = np.sqrt(var / samples)
-    return mean, stderr
+    return mean, np.sqrt(var / samples)
 
 
 def coupled_basis_matrix(state: GenericState, j2: HalfInt) -> tuple[np.ndarray, list[tuple[HalfInt, HalfInt, HalfInt]]]:
@@ -306,11 +297,7 @@ def coupled_basis_matrix(state: GenericState, j2: HalfInt) -> tuple[np.ndarray, 
     """
     j2 = half(j2)
     prod = product_basis_labels(state, j2)
-    labels = []
-    for j1 in state.j_labels:
-        for J in couple_range(j1, j2):
-            for M in m_range(J):
-                labels.append((J, M, j1))
+    labels = [(J, M, j1) for j1 in state.j_labels for J in couple_range(j1, j2) for M in m_range(J)]
     V = np.zeros((len(prod), len(labels)))
     for r, (j1, m, m2) in enumerate(prod):
         for c, (J, M, jc) in enumerate(labels):
@@ -338,9 +325,7 @@ def blocks_from_full_matrix(state: GenericState, j2: HalfInt, full: np.ndarray) 
 # plain-text serialization
 
 def state_to_text(state: GenericState) -> str:
-    lines = [f"m1={state.m1}"]
-    for j1, a in state.amplitudes:
-        lines.append(f"j1={j1} a={a!r}")
+    lines = [f"m1={state.m1}"] + [f"j1={j1} a={a!r}" for j1, a in state.amplitudes]
     return "\n".join(lines) + "\n"
 
 

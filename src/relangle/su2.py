@@ -51,6 +51,8 @@ class HalfInt:
         """Build from an int, Fraction, float or string that is (half-)integral."""
         if isinstance(value, HalfInt):
             return value
+        if isinstance(value, int):  # bool included: half(True) is 1, as through Fraction
+            return cls(2 * value)
         if isinstance(value, str):
             return cls.parse(value)
         doubled = Fraction(value) * 2
@@ -200,23 +202,18 @@ def wigner_d_highest(j: HalfInt, m: HalfInt, beta: float) -> float:
     """
     j, m = HalfInt(j), HalfInt(m)
     check_jm(j, m)
-    a = (j.twice + m.twice) // 2
-    b = (j.twice - m.twice) // 2
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
+    a, b = (j.twice + m.twice) // 2, (j.twice - m.twice) // 2
+    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
     if (a > 0 and c == 0.0) or (b > 0 and s == 0.0):
         return 0.0
     # assemble in log space to dodge overflow of binom(200, 100)
-    lbinom = math.lgamma(a + b + 1) - math.lgamma(a + 1) - math.lgamma(b + 1)
-    log_mag = 0.5 * lbinom
+    log_mag = 0.5 * (math.lgamma(a + b + 1) - math.lgamma(a + 1) - math.lgamma(b + 1))
     if a > 0:
         log_mag += a * math.log(abs(c))
     if b > 0:
         log_mag += b * math.log(abs(s))
     val = math.exp(log_mag)
-    if c < 0.0 and a % 2:
-        val = -val
-    return val
+    return -val if c < 0.0 and a % 2 else val
 
 
 @lru_cache(maxsize=None)
@@ -237,11 +234,10 @@ def clebsch_gordan(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt,
     if M.twice != m1.twice + m2.twice:
         return 0.0
 
-    def iv(x: HalfInt | int) -> int:
-        t = x.twice if isinstance(x, HalfInt) else 2 * x
-        if t % 2 != 0:
+    def iv(x: HalfInt) -> int:
+        if x.twice % 2 != 0:
             raise DomainError("non-integer factorial argument")
-        return t // 2
+        return x.twice // 2
 
     # triangle coefficient and weight factorials, all exact integers
     pref2 = Fraction(J.twice + 1, 1)
@@ -257,19 +253,9 @@ def clebsch_gordan(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt,
 
     k_min = max(0, iv(j2 - J - m1), iv(j1 + m2 - J))
     k_max = min(iv(j1 + j2 - J), iv(j1 - m1), iv(j2 + m2))
-    total = Fraction(0)
-    for k in range(k_min, k_max + 1):
-        denom = (
-            _fact(k)
-            * _fact(iv(j1 + j2 - J) - k)
-            * _fact(iv(j1 - m1) - k)
-            * _fact(iv(j2 + m2) - k)
-            * _fact(iv(J - j2 + m1) + k)
-            * _fact(iv(J - j1 - m2) + k)
-        )
-        term = Fraction((-1) ** k, denom)
-        total += term
-    if total == 0:
-        return 0.0
+    total = sum(Fraction((-1) ** k, _fact(k) * _fact(iv(j1 + j2 - J) - k) * _fact(iv(j1 - m1) - k)
+                         * _fact(iv(j2 + m2) - k) * _fact(iv(J - j2 + m1) + k)
+                         * _fact(iv(J - j1 - m2) + k))
+                for k in range(k_min, k_max + 1))
     value2 = pref2 * total * total  # = C^2, a rational <= 1
     return math.copysign(math.sqrt(float(value2)), float(total))

@@ -4,6 +4,7 @@ import pytest
 
 from relangle.cli import OUTPUT_DIR_ENV, RunConfig, main
 from relangle.limits import default_sweep_grid
+from relangle.optimizer import CERTIFICATE_GRID_MIN
 from relangle.su2 import half
 from relangle.states import GenericState, state_to_text
 
@@ -16,6 +17,12 @@ def read_csv(path):
 
 
 class TestRunConfig:
+    def test_mu_grid_minimum_is_the_library_one(self):
+        RunConfig(command="certify", j2=half("1/2"), mu_grid=CERTIFICATE_GRID_MIN)
+        with pytest.raises(ValueError):
+            RunConfig(command="certify", j2=half("1/2"), mu_grid=CERTIFICATE_GRID_MIN - 1)
+        assert main(["certify", "--mu-grid", str(CERTIFICATE_GRID_MIN - 1)]) == 1
+
     def test_validates_grid_step(self):
         with pytest.raises(ValueError):
             RunConfig(command="fidelity-sweep", j2=half("1/2"), a_grid_step=0.6)
@@ -49,6 +56,19 @@ class TestFidelitySweep:
             assert main(["fidelity-sweep", "--j2", "1/2", "--a-grid-step", "0.05",
                          "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize("step, amplitudes", [
+        ("0.3", ["0", "0.3", "0.6", "0.9", "1"]),
+        ("0.1", ["0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1"]),
+        ("0.5", ["0", "0.5", "1"]),
+    ])
+    def test_grid_ends_at_one_exactly_once(self, tmp_path, step, amplitudes):
+        out = tmp_path / "sweep.csv"
+        assert main(["fidelity-sweep", "--j2", "1/2", "--a-grid-step", step,
+                     "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == amplitudes
 
 
 class TestJ2Sweep:

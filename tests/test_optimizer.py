@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from relangle.su2 import DomainError, HalfInt, half
 from relangle.states import GenericState
@@ -10,21 +11,28 @@ from relangle.estimator import (
     PovmSpec,
     SingleEstimate,
     TrigBlock,
+    _lambda_min,
     block_dims,
     fidelity,
+    fidelity_montecarlo,
     signal_trig_blocks,
 )
 import relangle.optimizer as optimizer_module
 from relangle.limits import default_sweep_grid
 from relangle.optimizer import (
+    CERTIFICATE_GRID_MIN,
+    CERTIFICATE_PASS,
     UnsupportedBlockError,
+    _amplitude_grid,
     _block_optimum,
+    _certificate,
     _fidelities,
     helstrom_certificate,
     max_fidelity,
     optimal_pair,
     optimal_single_estimate,
     optimize_state,
+    optimize_trig_blocks,
     two_term_nu,
 )
 
@@ -243,6 +251,145 @@ class TestCertificate:
         assert helstrom_certificate(GenericState.two_term(0.609), "1/2",
                                     result.povm) >= -1e-9
 
+    def test_three_dim_block_unsupported(self):
+        # j2 = 1 couples all three labels into J = 1; the closed form covers 1x1 and 2x2
+        povm = PovmSpec({J: SingleEstimate(1.0) for J in block_dims(THREE_TERM, "1")})
+        with pytest.raises(UnsupportedBlockError, match="J=1"):
+            helstrom_certificate(THREE_TERM, "1", povm)
+
+
+def scan_reference(trig, povm, grid=1001):
+    """Per-block eigvalsh scan of Upsilon - A(mu), independent of the closed form."""
+    worst = math.inf
+    for J, blk in trig.blocks.items():
+        upsilon = np.zeros((blk.dim, blk.dim))
+        for mu, element in povm.elements(J, blk.dim):
+            upsilon += blk.at(mu) @ element
+        upsilon = (upsilon + upsilon.T) / 2.0
+        for mu in np.linspace(0.0, math.pi, grid):
+            worst = min(worst, float(np.linalg.eigvalsh(upsilon - blk.at(mu)).min()))
+    return worst
+
+
+SCALE_FREE = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+def assert_lambda_min_matches_eigvalsh(a, b, c):
+    ref = np.linalg.eigvalsh(np.array([[a, b], [b, c]]))[0]
+    assert abs(_lambda_min(a, b, c) - ref) <= 1e-14 * max(abs(a), abs(b), abs(c))
+
+
+class TestClosedFormCertificate:
+    @given(SCALE_FREE, SCALE_FREE, SCALE_FREE)
+    @example(1.0, 1e-200, 1.0)
+    @example(1e-3, 1e3, -1e-3)
+    def test_lambda_min_matches_eigvalsh(self, a, b, c):
+        assert_lambda_min_matches_eigvalsh(a, b, c)
+
+    @given(SCALE_FREE, SCALE_FREE)
+    def test_lambda_min_degenerate_cases(self, x, y):
+        assert_lambda_min_matches_eigvalsh(x, 0.0, y)  # b = 0
+        assert_lambda_min_matches_eigvalsh(x, y, x)  # a = c
+        assert _lambda_min(x, 0.0, x) == x  # a 1-dim block enters exactly
+        assert _lambda_min(0.0, 0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("state", [
+        GenericState.two_term(0.609),
+        GenericState.parallel(),
+        GenericState.from_dict(0, {0: math.cos(0.7), 3: -math.sin(0.7)}),
+        GenericState.from_dict("1/2", {"1/2": math.cos(1.1), "5/2": math.sin(1.1)}),
+        GenericState.from_dict(1, {1: math.cos(0.4), 2: math.sin(0.4)}),
+    ], ids=["two_term", "parallel", "m1=0", "m1=1/2", "m1=1"])
+    @pytest.mark.parametrize("j2", ["1/2", "1", "7/2", "25", "100"])
+    def test_matches_eigvalsh_scan(self, state, j2):
+        trig = signal_trig_blocks(state, half(j2))
+        povm = max_fidelity(state, j2, certify=False).povm
+        assert _certificate(trig, povm, 1001) == pytest.approx(
+            scan_reference(trig, povm), abs=1e-14)
+
+    def test_found_m1_state_still_fails(self):
+        # the (nu, pi - nu) pair is not optimal for this m1 = 1 superposition
+        state = GenericState.from_dict(1, {1: math.cos(0.4), 2: math.sin(0.4)})
+        trig = signal_trig_blocks(state, half(1))
+        povm = max_fidelity(state, 1, certify=False).povm
+        cert = helstrom_certificate(state, 1, povm)
+        assert cert < -1e-3
+        assert cert == pytest.approx(scan_reference(trig, povm), abs=1e-14)
+
+    def test_no_eigensolver_on_the_certificate_path(self, monkeypatch):
+        state = GenericState.two_term(0.6)
+        povm = max_fidelity(state, "1/2", certify=False).povm
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        povm.validate(block_dims(state, "1/2"))
+        assert helstrom_certificate(state, "1/2", povm) >= CERTIFICATE_PASS
+
+    def test_nan_block_is_not_skipped(self):
+        # the reduction over blocks must propagate NaN, never drop it
+        state = GenericState.two_term(0.6)
+        povm = max_fidelity(state, "1/2", certify=False).povm
+        povm.per_block[half("3/2")] = SingleEstimate(math.nan)
+        assert math.isnan(_certificate(signal_trig_blocks(state, half("1/2")), povm, 1001))
+
+
+def nan_pair(pair):
+    return PairEstimate(math.nan, pair.proj_nu, pair.proj_conjugate)
+
+
+def nan_projector(pair):
+    return PairEstimate(pair.nu, np.full((2, 2), math.nan), pair.proj_conjugate)
+
+
+class TestNonFinitePovm:
+    """One block of the optimal POVM for two_term(0.6) at j2 = 1/2 replaced by a non-finite one."""
+
+    @pytest.fixture(params=["pair_nan_nu", "nan_projector", "single_nan"])
+    def povm(self, request):
+        state = GenericState.two_term(0.6)
+        povm = max_fidelity(state, "1/2", certify=False).povm
+        J = half("1/2") if request.param != "single_nan" else half("3/2")
+        replace = {"pair_nan_nu": nan_pair, "nan_projector": nan_projector,
+                   "single_nan": lambda _: SingleEstimate(math.nan)}[request.param]
+        povm.per_block[J] = replace(povm.per_block[J])
+        return state, povm
+
+    def test_certificate_rejects(self, povm):
+        state, povm = povm
+        with pytest.raises(DomainError, match="non-finite"):
+            helstrom_certificate(state, "1/2", povm)
+
+    def test_fidelity_and_montecarlo_reject(self, povm):
+        state, povm = povm
+        with pytest.raises(DomainError):
+            fidelity(state, "1/2", povm)
+        with pytest.raises(DomainError):
+            fidelity_montecarlo(state, "1/2", povm, samples=10, seed=0)
+
+
+class TestCertificateGrid:
+    @pytest.mark.parametrize("grid", [0, 1, CERTIFICATE_GRID_MIN - 1, 101.0, 1001.5, "1001", None])
+    def test_rejects_bad_grid(self, grid, monkeypatch):
+        state = GenericState.parallel()
+        povm = max_fidelity(state, "1/2", certify=False).povm
+        trig = signal_trig_blocks(state, half("1/2"))
+
+        def refuse(*args):
+            raise AssertionError("certificate ran before the grid check")
+        monkeypatch.setattr(optimizer_module, "_certificate", refuse)
+        with pytest.raises(DomainError):
+            helstrom_certificate(state, "1/2", povm, grid=grid)
+        with pytest.raises(DomainError):
+            optimize_trig_blocks(trig, grid=grid)
+
+    def test_minimum_grid_accepted(self):
+        state = GenericState.parallel()
+        povm = max_fidelity(state, "1/2", certify=False).povm
+        for grid in (CERTIFICATE_GRID_MIN, np.int64(CERTIFICATE_GRID_MIN)):
+            assert helstrom_certificate(state, "1/2", povm, grid=grid) >= CERTIFICATE_PASS
+
 
 class TestOptimizeState:
     def test_rejects_zero_j2(self):
@@ -369,3 +516,34 @@ class TestBatchedSearch:
         a_star, _, result = optimize_state("1/2", tol=1e-300)
         assert abs(a_star - PINNED_OPTIMA["1/2"][0]) <= 1e-7
         assert result.fidelity >= PINNED_OPTIMA["1/2"][1] - 1e-14
+
+
+class TestAmplitudeGrid:
+    def coarse_grid(self, monkeypatch, **kwargs):
+        grids = []
+        evaluate = optimizer_module._fidelities
+
+        def recording(m1, labels, j2, rows):
+            grids.append(rows[:, 0].copy())
+            return evaluate(m1, labels, j2, rows)
+
+        monkeypatch.setattr(optimizer_module, "_fidelities", recording)
+        optimize_state("1/2", **kwargs)
+        return grids[0]
+
+    def test_search_values_a_equal_one(self, monkeypatch):
+        grid = self.coarse_grid(monkeypatch, coarse_step=0.3)
+        assert grid.tolist() == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+
+    def test_default_grid_unchanged(self, monkeypatch):
+        # the grid before a = 1 was always included, min(1, i * step) for i <= 1000
+        grid = self.coarse_grid(monkeypatch)
+        assert np.array_equal(grid, np.minimum(1.0, np.arange(1001) * 0.001))
+
+    @pytest.mark.parametrize("step", [0.001, 0.01, 0.07, 0.1, 0.25, 0.3, 1.0 / 3.0, 0.4, 0.5])
+    def test_endpoints_once_and_increasing(self, step):
+        grid = _amplitude_grid(step)
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+        assert np.count_nonzero(grid == 1.0) == 1
+        assert np.all(np.diff(grid) > 0.0)
+        assert np.diff(grid).max() <= step * (1.0 + 1e-12)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,25 @@ class TestHalfInt:
         assert (h >= n) == (h >= half(n)) == (twice >= 2 * n)
         if h == n:
             assert hash(h) == hash(n)
+
+    @given(st.one_of(st.integers(), st.booleans()))
+    def test_int_fast_path_matches_fraction_path(self, n):
+        # half() on an int skips Fraction; the result must be what Fraction gives
+        h = half(n)
+        assert type(h) is HalfInt and type(h.twice) is int
+        assert h.twice == int(Fraction(n) * 2)
+        assert h == half(str(int(n)))
+
+    def test_bool_float_and_string_inputs_unchanged(self):
+        assert half(True).twice == 2 and half(False).twice == 0
+        assert half(1.5).twice == 3 and half(-2.0).twice == -4
+        assert half(Fraction(5, 2)).twice == 5
+        assert half(" -3/2 ").twice == -3
+        for bad in (0.3, math.nan, "1/3", "x"):
+            with pytest.raises(ValueError):
+                half(bad)
+        with pytest.raises(OverflowError):
+            half(math.inf)
 
 
 class TestRanges:
