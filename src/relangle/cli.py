@@ -17,16 +17,16 @@ import numpy as np
 
 from .su2 import DomainError, HalfInt, half
 from .states import GenericState, state_from_text
-from .estimator import PairEstimate, fidelity_montecarlo
+from .estimator import PairEstimate, fidelity_montecarlo, signal_trig_blocks
 from .optimizer import (
     CERTIFICATE_GRID,
     CERTIFICATE_GRID_MIN,
     CERTIFICATE_PASS,
     UnsupportedBlockError,
     _amplitude_grid,
-    helstrom_certificate,
     max_fidelity,
     optimize_state,
+    optimize_trig_blocks,
 )
 from .limits import (
     asymptotic_deviation,
@@ -159,8 +159,8 @@ def _run_classical_limit(cfg: RunConfig) -> int:
 
 def _run_certify(cfg: RunConfig) -> int:
     state = _resolve_state(cfg.state, cfg.j2)
-    result = max_fidelity(state, cfg.j2, certify=False)
-    min_eig = helstrom_certificate(state, cfg.j2, result.povm, grid=cfg.mu_grid)
+    result = optimize_trig_blocks(signal_trig_blocks(state, cfg.j2), grid=cfg.mu_grid)
+    min_eig = result.certificate_min_eigenvalue
     status = "pass" if min_eig >= CERTIFICATE_PASS else "fail"
     print(f"j2={cfg.j2} state={cfg.state} F={_fmt(result.fidelity)} "
           f"certificate_min_eig={_fmt(min_eig)} [{status}]")

@@ -17,8 +17,8 @@ from .su2 import DomainError, HalfInt, check_jm, half, m_range
 from .states import (
     BlockedOperator,
     GenericState,
-    _cg_column,
     _cg_contract,
+    _cg_table,
     coupling_structure,
 )
 
@@ -106,8 +106,8 @@ def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
     """Amplitude-independent CG/moment contractions per (J, j1, j1') entry."""
     moments = [moment_integrals(j2, m2) for m2 in m_range(j2)]
     weights = np.array([(t.P, t.Q, t.R) for t in moments]).T  # rows P, Q, R over m2
-    return {J: (basis, *_cg_contract(m1, j2, J, basis, weights))
-            for J, basis in coupling_structure(js, j2)}
+    return {J: (basis, *_cg_contract(cols, weights))
+            for J, (basis, cols) in _cg_table(m1, js, j2).items()}
 
 
 def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:
@@ -225,24 +225,20 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     j2 = half(j2)
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    trig = signal_trig_blocks(state, j2)
-    povm.validate({J: blk.dim for J, blk in trig.blocks.items()})
+    table = _cg_table(state.m1, state.j_labels, j2)
+    povm.validate({J: len(basis) for J, (basis, _) in table.items()})
 
     ms = m_range(j2)
     # probability of each outcome is linear in the squared rotated amplitudes:
     # p_o(beta) = sum_{m2} coef[o, m2] * (d^{j2}_{m2 j2}(beta))^2
     mus = []
     coef_rows = []
-    for J, blk in trig.blocks.items():
-        cols = [_cg_column(j1, state.m1, j2, J) for j1 in blk.basis]
-        amps = [state.amplitude(j1) for j1 in blk.basis]
-        for mu, element in povm.elements(J, blk.dim):
-            row = np.zeros(len(ms))
-            for i in range(blk.dim):
-                for k in range(blk.dim):
-                    row += amps[i] * amps[k] * element[k, i] * cols[i] * cols[k]
+    for J, (basis, cols) in table.items():
+        amps = np.array([state.amplitude(j1) for j1 in basis])
+        for mu, element in povm.elements(J, len(basis)):
+            weight = (np.outer(amps, amps) * element.T)[:, :, None]
             mus.append(mu)
-            coef_rows.append(row)
+            coef_rows.append((weight * cols[:, None, :] * cols[None, :, :]).sum(axis=(0, 1)))
     mus = np.array(mus)
     coef = np.array(coef_rows)
 

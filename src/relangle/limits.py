@@ -15,33 +15,30 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .su2 import DomainError, HalfInt, half, m_range, wigner_d_matrix
-from .states import BlockedOperator, GenericState, _m_index, averaged_state, check_beta
+from .states import BlockedOperator, GenericState, _cg_contract, _m_index, averaged_state, check_beta
 from .estimator import TrigBlock, TrigBlocks
 from .optimizer import OptimizationResult, optimize_trig_blocks, max_fidelity, optimize_state
 
 _QUAD_NODES = 200
 
 
-def _m_structure(state: GenericState) -> list[tuple[HalfInt, tuple[HalfInt, ...]]]:
-    js = state.j_labels
-    j_max = max(js, key=lambda j: j.twice)
-    out = []
-    for m in m_range(j_max):
-        basis = tuple(j for j in js if abs(m.twice) <= j.twice)
-        if basis:
-            out.append((m, basis))
+def _sigma_columns(state: GenericState, betas) -> dict[HalfInt, tuple[tuple[HalfInt, ...], np.ndarray]]:
+    """Per weight m: labels j >= |m| and a_j d^j_{m m1}(beta) over them, (dim, n); one d call per label."""
+    cols = {j: a * wigner_d_matrix(j, betas)[:, :, _m_index(j, state.m1)]
+            for j, a in state.amplitudes}
+    out = {}
+    for m in m_range(max(state.j_labels, key=lambda j: j.twice)):
+        basis = tuple(j for j in state.j_labels if abs(m.twice) <= j.twice)
+        out[m] = (basis, np.array([cols[j][:, _m_index(j, m)] for j in basis]))
     return out
 
 
 def classical_sigma(state: GenericState, beta: float) -> BlockedOperator:
     """<j' m|sigma(beta)|j m> = a_{j'} a_j d^{j'}_{m m1}(beta) d^{j}_{m m1}(beta)."""
     check_beta(beta)
-    cols = {j: a * wigner_d_matrix(j, beta)[0, :, _m_index(j, state.m1)]
-            for j, a in state.amplitudes}
     out = BlockedOperator()
-    for m, basis in _m_structure(state):
-        amp_d = np.array([cols[j][_m_index(j, m)] for j in basis])
-        out.blocks[m] = (basis, np.outer(amp_d, amp_d))
+    for m, (basis, amp_d) in _sigma_columns(state, beta).items():
+        out.blocks[m] = (basis, np.outer(amp_d[:, 0], amp_d[:, 0]))
     return out
 
 
@@ -49,18 +46,11 @@ def classical_trig_blocks(state: GenericState) -> TrigBlocks:
     """A(mu) coefficients for the classical task, by Gauss-Legendre quadrature."""
     nodes, weights = leggauss(_QUAD_NODES)
     betas = (nodes + 1.0) * (math.pi / 2.0)
-    weights = weights * (math.pi / 2.0)
-    blocks = {m: TrigBlock(basis, *(np.zeros((len(basis), len(basis))) for _ in range(3)))
-              for m, basis in _m_structure(state)}
-    for b, w in zip(betas, weights):
-        sigma = classical_sigma(state, b)
-        sb = math.sin(b)
-        for m, blk in blocks.items():
-            mat = sigma.blocks[m][1]
-            blk.k0 += w * mat * (sb / 4.0)
-            blk.k1 += w * mat * (sb * sb / 4.0)
-            blk.k2 += w * mat * (math.cos(b) * sb / 4.0)
-    return TrigBlocks(blocks)
+    sb = np.sin(betas)
+    # rows: the node weights of k0, k1 (sin mu) and k2 (cos mu) against the sin(beta)/2 prior
+    w = weights * (math.pi / 2.0) * np.stack([sb, sb * sb, np.cos(betas) * sb]) / 4.0
+    return TrigBlocks({m: TrigBlock(basis, *_cg_contract(amp_d, w))
+                       for m, (basis, amp_d) in _sigma_columns(state, betas).items()})
 
 
 def classical_fidelity(state: GenericState) -> OptimizationResult:

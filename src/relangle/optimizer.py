@@ -164,9 +164,12 @@ def two_term_nu(a: float) -> float:
     """Closed-form optimal estimate angle for the j2=1/2 two-term preparation.
 
     arctan[sqrt(3) (1 + 2 a^2) pi / (8 a sqrt(1 - a^2))]; at the boundary
-    amplitudes the off-diagonal coupling vanishes and nu -> pi/2.
+    amplitudes the off-diagonal coupling vanishes and nu -> pi/2.  An a that
+    is not a number in [0, 1] raises DomainError.
     """
-    if a <= 0.0 or a >= 1.0:
+    if not 0.0 <= a <= 1.0:
+        raise DomainError(f"a = {a!r} must lie in [0, 1]")
+    if a == 0.0 or a == 1.0:
         return math.pi / 2.0
     return math.atan(math.sqrt(3.0) * (1.0 + 2.0 * a * a) * math.pi
                      / (8.0 * a * math.sqrt(1.0 - a * a)))

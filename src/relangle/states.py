@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,9 +156,16 @@ def _cg_column(j1: HalfInt, m1: HalfInt, j2: HalfInt, J: HalfInt) -> np.ndarray:
     return col
 
 
-def _cg_contract(m1: HalfInt, j2: HalfInt, J: HalfInt, basis: tuple[HalfInt, ...], w: np.ndarray) -> np.ndarray:
-    """sum_{m2} w(m2) C^J_{j1 m1, j2 m2} C^J_{j1' m1, j2 m2} over (j1, j1') in basis, per row of w."""
-    cols = np.array([_cg_column(j1, m1, j2, J) for j1 in basis])
+@lru_cache(maxsize=None)
+def _cg_table(m1: HalfInt, labels: tuple[HalfInt, ...],
+              j2: HalfInt) -> dict[HalfInt, tuple[tuple[HalfInt, ...], np.ndarray]]:
+    """Per J of coupling_structure(labels, j2): its basis and the (dim, 2j2+1) CG columns."""
+    return {J: (basis, np.array([_cg_column(j1, m1, j2, J) for j1 in basis]))
+            for J, basis in coupling_structure(labels, j2)}
+
+
+def _cg_contract(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_n w(n) cols[i, n] cols[k, n] per row of w; on a _cg_table block n runs over m2."""
     # multiplied out before the sum, so each (dim, dim) result is exactly symmetric
     return (cols[:, None, :] * cols[None, :, :] * w[..., None, None, :]).sum(axis=-1)
 
@@ -184,9 +192,9 @@ def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOper
         raise DomainError("j2 must be at least 1/2")
     dsq = _highest_weight_vector(j2, beta) ** 2
     out = BlockedOperator()
-    for J, basis in coupling_structure(state, j2):
+    for J, (basis, cols) in _cg_table(state.m1, state.j_labels, j2).items():
         amps = np.array([state.amplitude(j1) for j1 in basis])
-        out.blocks[J] = (basis, np.outer(amps, amps) * _cg_contract(state.m1, j2, J, basis, dsq))
+        out.blocks[J] = (basis, np.outer(amps, amps) * _cg_contract(cols, dsq))
     return out
 
 
@@ -337,12 +345,17 @@ def state_from_text(text: str) -> GenericState:
         if not line or line.startswith("#"):
             continue
         if line.startswith("m1="):
+            if m1 is not None:
+                raise ValueError(f"repeated m1 line: {raw!r}")
             m1 = HalfInt.parse(line[3:])
         elif line.startswith("j1="):
             jpart, apart = line.split()
             if not apart.startswith("a="):
                 raise ValueError(f"malformed amplitude line: {raw!r}")
-            amps[HalfInt.parse(jpart[3:])] = float(apart[2:])
+            j1 = HalfInt.parse(jpart[3:])
+            if j1 in amps:
+                raise ValueError(f"repeated j1={j1} line: {raw!r}")
+            amps[j1] = float(apart[2:])
         else:
             raise ValueError(f"unrecognised line: {raw!r}")
     if m1 is None:

@@ -198,10 +198,13 @@ def wigner_d_highest(j: HalfInt, m: HalfInt, beta: float) -> float:
     """d^j_{m,j}(beta): amplitude of |j m> in the rotated highest-weight state.
 
     Closed form sqrt(binom(2j, j+m)) cos^{j+m}(beta/2) sin^{j-m}(beta/2);
-    free of the alternating sum, so it stays accurate up to j ~ 100.
+    free of the alternating sum, so it stays accurate up to j ~ 100.  A
+    non-finite beta raises DomainError.
     """
     j, m = HalfInt(j), HalfInt(m)
     check_jm(j, m)
+    if not math.isfinite(beta):
+        raise DomainError(f"beta = {beta!r} is not finite")
     a, b = (j.twice + m.twice) // 2, (j.twice - m.twice) // 2
     c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
     if (a > 0 and c == 0.0) or (b > 0 and s == 0.0):

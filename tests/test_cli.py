@@ -4,7 +4,7 @@ import pytest
 
 from relangle.cli import OUTPUT_DIR_ENV, RunConfig, main
 from relangle.limits import default_sweep_grid
-from relangle.optimizer import CERTIFICATE_GRID_MIN
+from relangle.optimizer import CERTIFICATE_GRID_MIN, helstrom_certificate, max_fidelity
 from relangle.su2 import half
 from relangle.states import GenericState, state_to_text
 
@@ -119,6 +119,15 @@ class TestCertify:
         assert main(["certify", "--j2", "3/2", "--state", str(f)]) == 0
         assert "[pass]" in capsys.readouterr().out
 
+    def test_reports_the_library_certificate(self, capsys):
+        state, j2 = GenericState.antiparallel(), half(2)
+        result = max_fidelity(state, j2, certify=False)
+        min_eig = helstrom_certificate(state, j2, result.povm, grid=301)
+        assert main(["certify", "--j2", "2", "--state", "antiparallel", "--mu-grid", "301"]) == 0
+        assert capsys.readouterr().out == (
+            f"j2=2 state=antiparallel F={result.fidelity:.10g} "
+            f"certificate_min_eig={min_eig:.10g} [pass]\n")
+
 
 class TestMonteCarlo:
     def test_consistent_with_exact(self, capsys):
@@ -163,6 +172,12 @@ class TestErrorHandling:
         f.write_text("m1=0\nj1=0 a=nan\nj1=1 a=nan\n", encoding="utf-8")
         assert main(["certify", "--j2", "1/2", "--state", str(f)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_state_line_exits_one(self, tmp_path, capsys):
+        f = tmp_path / "twice.txt"
+        f.write_text("m1=0\nj1=0 a=1\nj1=0 a=1\n", encoding="utf-8")
+        assert main(["certify", "--j2", "1/2", "--state", str(f)]) == 1
+        assert "repeated" in capsys.readouterr().err
 
     def test_missing_state_file_exits_one(self, capsys):
         assert main(["certify", "--j2", "1/2", "--state",

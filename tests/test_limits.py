@@ -68,18 +68,19 @@ class TestClassicalFidelity:
             + sum(float(np.trace(b.k1)) for b in trig.blocks.values())
         assert floor == pytest.approx(BLIND_GUESS, abs=1e-10)
 
-    def test_one_sigma_per_node(self, monkeypatch):
+    def test_one_d_matrix_per_label(self, monkeypatch):
+        # every quadrature node comes from one call per label, whatever the block count
         calls = []
-        real = limits.classical_sigma
+        real = limits.wigner_d_matrix
 
-        def counting(state, beta):
-            calls.append(beta)
-            return real(state, beta)
+        def counting(j, betas):
+            calls.append(j)
+            return real(j, betas)
 
-        monkeypatch.setattr(limits, "classical_sigma", counting)
+        monkeypatch.setattr(limits, "wigner_d_matrix", counting)
         trig = classical_trig_blocks(GenericState.from_dict(0, {1: 0.6, 3: 0.8}))
         assert len(trig.blocks) == 7
-        assert len(calls) == 200
+        assert sorted(calls) == [half(1), half(3)]
 
     @pytest.mark.parametrize("state", NAMED)
     def test_bounds(self, state):

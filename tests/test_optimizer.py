@@ -179,6 +179,12 @@ class TestPairEstimateBlock:
         assert abs(nu - two_term_nu(a)) < 1e-8
         assert pair.nu == nu
 
+    def test_closed_form_nu_domain(self):
+        assert two_term_nu(0.0) == two_term_nu(1.0) == math.pi / 2.0
+        for a in (math.nan, math.inf, -math.inf, -0.5, 1.5):
+            with pytest.raises(DomainError):
+                two_term_nu(a)
+
     def test_degenerate_amplitudes(self):
         # off-diagonal vanishes; the pair construction must still be valid
         for a in (0.0, 1.0):

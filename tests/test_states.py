@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
 
+from relangle import states
 from relangle.su2 import DomainError, half, m_range
 from relangle.states import (
     GenericState,
@@ -18,6 +19,8 @@ from relangle.states import (
     state_from_text,
     state_to_text,
 )
+from relangle.estimator import fidelity_montecarlo
+from relangle.optimizer import max_fidelity
 
 STATES = [
     GenericState.parallel(),
@@ -100,6 +103,27 @@ class TestAveragedState:
         rho = averaged_state(GenericState.parallel(), "1/2", 0.0)
         assert float(rho.block("3/2")[0, 0]) == pytest.approx(1.0, abs=1e-14)
         assert float(rho.block("1/2")[0, 0]) == pytest.approx(0.0, abs=1e-14)
+
+    def test_cg_columns_built_once(self, monkeypatch):
+        state = GenericState.from_dict("1/2", {"1/2": 0.8, "3/2": 0.6})
+        j2 = half(2)
+        povm = max_fidelity(state, j2, certify=False).povm
+        calls = []
+        real = states._cg_column
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(states, "_cg_column", counting)
+        states._cg_table.cache_clear()
+        averaged_state(state, j2, 0.1)
+        assert calls  # the warm-up builds the table
+        calls.clear()
+        for beta in np.linspace(0.0, math.pi, 20):
+            averaged_state(state, j2, beta)
+        fidelity_montecarlo(state, j2, povm, 100, 0)
+        assert calls == []
 
     def test_beta_continuity(self):
         state = GenericState.two_term(0.6)
@@ -251,6 +275,15 @@ class TestSerialization:
     def test_non_finite_amplitude_rejected(self, value):
         with pytest.raises(DomainError):
             state_from_text(f"m1=0\nj1=0 a={value}\nj1=1 a={value}\n")
+
+    @pytest.mark.parametrize("text", [
+        "m1=0\nj1=0 a=1\nj1=0 a=1\n",
+        "m1=1/2\nj1=1/2 a=0.6\nj1=0.5 a=0.8\n",
+        "m1=0\nm1=0\nj1=0 a=1\n",
+    ])
+    def test_repeated_line_rejected(self, text):
+        with pytest.raises(ValueError, match="repeated"):
+            state_from_text(text)
 
     def test_malformed_input(self):
         with pytest.raises(ValueError):

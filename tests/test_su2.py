@@ -226,6 +226,11 @@ class TestWignerDHighest:
                 column = wigner_d_matrix(j, beta)[0, :, -1]
                 assert np.abs(highest - column).max() <= 1e-13
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(DomainError):
+            wigner_d_highest(half(1), half(0), beta)
+
 
 class TestClebschGordan:
     def test_stretch_state(self):
