@@ -13,12 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .su2 import DomainError, HalfInt, check_jm, half, m_range
+from .su2 import DomainError, HalfInt, _log_binom, check_jm, half, m_range
 from .states import (
     BlockedOperator,
     GenericState,
     _cg_contract,
     _cg_table,
+    check_samples,
     coupling_structure,
 )
 
@@ -223,12 +224,10 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     with samples.
     """
     j2 = half(j2)
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    check_samples(samples)
     table = _cg_table(state.m1, state.j_labels, j2)
     povm.validate({J: len(basis) for J, (basis, _) in table.items()})
 
-    ms = m_range(j2)
     # probability of each outcome is linear in the squared rotated amplitudes:
     # p_o(beta) = sum_{m2} coef[o, m2] * (d^{j2}_{m2 j2}(beta))^2
     mus = []
@@ -242,20 +241,15 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     mus = np.array(mus)
     coef = np.array(coef_rows)
 
-    log_binom = np.array([
-        math.lgamma(j2.twice + 1)
-        - math.lgamma((j2.twice + m2.twice) // 2 + 1)
-        - math.lgamma((j2.twice - m2.twice) // 2 + 1)
-        for m2 in ms
-    ])[:, None]
-    a_pow = np.array([(j2.twice + m2.twice) // 2 for m2 in ms], dtype=float)[:, None]
-    b_pow = np.array([(j2.twice - m2.twice) // 2 for m2 in ms], dtype=float)[:, None]
+    log_binom = _log_binom(j2.twice)[:, None]
+    a_pow = np.arange(j2.twice + 1, dtype=float)[:, None]  # j2 + m2
+    b_pow = a_pow[::-1]  # j2 - m2
 
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, samples)  # cos(beta), the prior in disguise
     pick = rng.uniform(0.0, 1.0, samples)
     total = total_sq = 0.0  # running sums of the utility and its square
-    chunk = max(1, _MC_CHUNK_ELEMENTS // len(ms))
+    chunk = max(1, _MC_CHUNK_ELEMENTS // (j2.twice + 1))
     for lo in range(0, samples, chunk):
         uc = u[lo:lo + chunk]
         with np.errstate(divide="ignore"):

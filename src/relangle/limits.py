@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -42,13 +43,19 @@ def classical_sigma(state: GenericState, beta: float) -> BlockedOperator:
     return out
 
 
-def classical_trig_blocks(state: GenericState) -> TrigBlocks:
-    """A(mu) coefficients for the classical task, by Gauss-Legendre quadrature."""
+@lru_cache(maxsize=None)
+def _quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [0, pi] and their k0, k1, k2 weight rows, built once on first use."""
     nodes, weights = leggauss(_QUAD_NODES)
     betas = (nodes + 1.0) * (math.pi / 2.0)
     sb = np.sin(betas)
     # rows: the node weights of k0, k1 (sin mu) and k2 (cos mu) against the sin(beta)/2 prior
-    w = weights * (math.pi / 2.0) * np.stack([sb, sb * sb, np.cos(betas) * sb]) / 4.0
+    return betas, weights * (math.pi / 2.0) * np.stack([sb, sb * sb, np.cos(betas) * sb]) / 4.0
+
+
+def classical_trig_blocks(state: GenericState) -> TrigBlocks:
+    """A(mu) coefficients for the classical task, by Gauss-Legendre quadrature."""
+    betas, w = _quadrature()
     return TrigBlocks({m: TrigBlock(basis, *_cg_contract(amp_d, w))
                        for m, (basis, amp_d) in _sigma_columns(state, betas).items()})
 

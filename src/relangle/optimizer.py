@@ -125,8 +125,11 @@ def _certificate(trig: TrigBlocks, povm: PovmSpec, grid: int) -> float:
         entries.append([_sym_entries(m) for m in (upsilon - blk.k0, blk.k1, blk.k2)])
     gap, k1, k2 = np.array(entries).transpose(1, 2, 0)[..., None]  # each (3, blocks, 1)
     mu = np.linspace(0.0, math.pi, grid)
-    # a plain .min(): a NaN anywhere makes the certificate NaN, which never passes
-    return float(_lambda_min(*(gap - np.sin(mu) * k1 - np.cos(mu) * k2)).min())
+    sin_mu, cos_mu = np.sin(mu), np.cos(mu)
+    # one (blocks, grid) array per entry: a (3, blocks, grid) temporary is large enough that
+    # malloc can map fresh pages for it on every call.  A plain .min(): a NaN anywhere makes
+    # the certificate NaN, which never passes
+    return float(_lambda_min(*(g - sin_mu * x - cos_mu * y for g, x, y in zip(gap, k1, k2))).min())
 
 
 def helstrom_certificate(state: GenericState, j2: HalfInt, povm: PovmSpec,

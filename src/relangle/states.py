@@ -18,12 +18,13 @@ import numpy as np
 from .su2 import (
     DomainError,
     HalfInt,
+    _highest_weight_vector,
+    _racah,
     check_jm,
     clebsch_gordan,
     couple_range,
     half,
     m_range,
-    wigner_d_highest,
     wigner_d_matrix,
 )
 
@@ -33,6 +34,12 @@ _BETA_TOL = 1e-12
 _ORACLE_BATCH = 20000
 # per-sample outer-product entries the oracle holds at once
 _ORACLE_CHUNK_ELEMENTS = 2 ** 18
+
+
+def check_samples(samples) -> None:
+    """Raise DomainError unless samples is an int of at least 1."""
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise DomainError(f"samples = {samples!r} must be an int of at least 1")
 
 
 def check_beta(beta: float) -> None:
@@ -148,12 +155,9 @@ def coupling_structure(state: GenericState | tuple[HalfInt, ...],
 
 def _cg_column(j1: HalfInt, m1: HalfInt, j2: HalfInt, J: HalfInt) -> np.ndarray:
     """C^{J, m1+m2}_{j1 m1, j2 m2} over m2 = -j2..j2 (0 outside |M| <= J)."""
-    col = np.zeros(j2.twice + 1)
-    for k, m2 in enumerate(m_range(j2)):
-        M = m1 + m2
-        if abs(M.twice) <= J.twice:
-            col[k] = clebsch_gordan(j1, m1, j2, m2, J, M)
-    return col
+    return np.array([_racah(j1.twice, m1.twice, j2.twice, t2, J.twice, m1.twice + t2)
+                     if abs(m1.twice + t2) <= J.twice else 0.0
+                     for t2 in range(-j2.twice, j2.twice + 1, 2)])
 
 
 @lru_cache(maxsize=None)
@@ -173,11 +177,6 @@ def _cg_contract(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _m_index(j: HalfInt, m: HalfInt) -> int:
     """Position of weight m in m_range(j)."""
     return (j.twice + m.twice) // 2
-
-
-def _highest_weight_vector(j2: HalfInt, beta: float) -> np.ndarray:
-    """d^{j2}_{m2, j2}(beta) over m2 = -j2..j2."""
-    return np.array([wigner_d_highest(j2, m2, beta) for m2 in m_range(j2)])
 
 
 def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOperator:
@@ -267,8 +266,7 @@ def averaged_state_oracle(state: GenericState, j2: HalfInt, beta: float,
     support).
     """
     j2 = half(j2)
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    check_samples(samples)
     check_beta(beta)
     w = _highest_weight_vector(j2, beta)
     dim = (j2.twice + 1) * sum(j1.twice + 1 for j1 in state.j_labels)

@@ -1,10 +1,12 @@
 """Exact half-integer angular momentum bookkeeping and SU(2) matrix elements.
 
 Labels (j, m, J, M) are carried as :class:`HalfInt` values storing twice the
-physical value, so sector arithmetic is exact.  All Wigner small-d and
-Clebsch-Gordan values are real, in the Condon-Shortley convention with
-rotations generated by exp(-i*beta*Jy); only squared d-values and CG products
-enter the estimation observables, so the generator sign is unobservable.
+physical value, so sector arithmetic is exact; the d, CG and coupling
+functions read a bare int label as its physical value, as half() does.  All
+Wigner small-d and Clebsch-Gordan values are real, in the Condon-Shortley
+convention with rotations generated by exp(-i*beta*Jy); only squared d-values
+and CG products enter the estimation observables, so the generator sign is
+unobservable.
 """
 from __future__ import annotations
 
@@ -120,19 +122,12 @@ def m_range(j: HalfInt) -> list[HalfInt]:
 
 def couple_range(j1: HalfInt, j2: HalfInt) -> list[HalfInt]:
     """Total angular momenta |j1-j2|, ..., j1+j2 in increasing order."""
-    j1, j2 = HalfInt(j1), HalfInt(j2)
+    j1, j2 = half(j1), half(j2)
     if j1.twice < 0 or j2.twice < 0:
         raise DomainError("coupling labels must be nonnegative")
     lo = abs(j1.twice - j2.twice)
     hi = j1.twice + j2.twice
     return [HalfInt(t) for t in range(lo, hi + 1, 2)]
-
-
-@lru_cache(maxsize=None)
-def _fact(n: int) -> int:
-    if n < 0:
-        raise ValueError("negative factorial")
-    return math.factorial(n)
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +162,7 @@ def wigner_d_matrix(j: HalfInt, betas) -> np.ndarray:
     (2015)), so it stays orthogonal to roundoff at any j.  Any finite beta is
     a rotation; a non-finite one raises DomainError.
     """
-    j = HalfInt(j)
+    j = half(j)
     check_jm(j, j)
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if not np.isfinite(betas).all():
@@ -188,47 +183,75 @@ def wigner_d(j: HalfInt, m_row: HalfInt, m_col: HalfInt, beta: float) -> float:
     Convention: d^j_{m'm}(beta) = <j m'| exp(-i*beta*Jy) |j m>, so that
     rotating the highest-weight state gives U(beta)|j j> = sum_m d^j_{m j}|j m>.
     """
-    j, mr, mc = HalfInt(j), HalfInt(m_row), HalfInt(m_col)
+    j, mr, mc = half(j), half(m_row), half(m_col)
     check_jm(j, mr)
     check_jm(j, mc)
     return float(wigner_d_matrix(j, beta)[0, (j.twice + mr.twice) // 2, (j.twice + mc.twice) // 2])
 
 
-def wigner_d_highest(j: HalfInt, m: HalfInt, beta: float) -> float:
-    """d^j_{m,j}(beta): amplitude of |j m> in the rotated highest-weight state.
+@lru_cache(maxsize=None)
+def _log_binom(twice_j: int) -> np.ndarray:
+    """log binom(2j, j+m) over m = -j..j."""
+    return np.array([math.lgamma(twice_j + 1) - math.lgamma(a + 1) - math.lgamma(twice_j - a + 1)
+                     for a in range(twice_j + 1)])
 
-    Closed form sqrt(binom(2j, j+m)) cos^{j+m}(beta/2) sin^{j-m}(beta/2);
-    free of the alternating sum, so it stays accurate up to j ~ 100.  A
+
+def _highest_weight_vector(j: HalfInt, beta: float) -> np.ndarray:
+    """d^j_{m,j}(beta) over m = -j..j, the rotated highest-weight state.
+
+    Closed form sqrt(binom(2j, j+m)) cos^{j+m}(beta/2) sin^{j-m}(beta/2),
+    assembled in log space to dodge overflow of binom(200, 100); free of the
+    alternating sum, so it stays accurate up to j ~ 100.  A positive power of
+    an exact-zero cos or sin is masked to 0, so no 0 * log 0 is formed.  A
     non-finite beta raises DomainError.
     """
-    j, m = HalfInt(j), HalfInt(m)
-    check_jm(j, m)
+    j = half(j)
+    check_jm(j, j)
     if not math.isfinite(beta):
         raise DomainError(f"beta = {beta!r} is not finite")
-    a, b = (j.twice + m.twice) // 2, (j.twice - m.twice) // 2
+    a = np.arange(j.twice + 1)  # j + m; j - m is 2j - a
     c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    if (a > 0 and c == 0.0) or (b > 0 and s == 0.0):
-        return 0.0
-    # assemble in log space to dodge overflow of binom(200, 100)
-    log_mag = 0.5 * (math.lgamma(a + b + 1) - math.lgamma(a + 1) - math.lgamma(b + 1))
-    if a > 0:
-        log_mag += a * math.log(abs(c))
-    if b > 0:
-        log_mag += b * math.log(abs(s))
-    val = math.exp(log_mag)
-    return -val if c < 0.0 and a % 2 else val
+    log_c = math.log(abs(c)) if c else 0.0
+    log_s = math.log(abs(s)) if s else 0.0
+    val = np.exp(0.5 * _log_binom(j.twice) + a * log_c + (j.twice - a) * log_s)
+    val[((a > 0) & (c == 0.0)) | ((a < j.twice) & (s == 0.0))] = 0.0
+    return np.where((c < 0.0) & (a % 2 == 1), -val, val)
+
+
+def wigner_d_highest(j: HalfInt, m: HalfInt, beta: float) -> float:
+    """d^j_{m,j}(beta), one entry of the closed-form column; a non-finite beta raises DomainError."""
+    j, m = half(j), half(m)
+    check_jm(j, m)
+    return float(_highest_weight_vector(j, beta)[(j.twice + m.twice) // 2])
+
+
+def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    """C^{J M}_{j1 m1, j2 m2} from doubled labels; they must be valid and tM = tm1 + tm2.
+
+    The Racah sum over k, put over the common denominator a! p! q!, is a sum of
+    binomial products S; then C^2 = (2J+1) S^2 binom(2j1, a) binom(2j2, a) /
+    [(j1+j2+J+1) binom(j1+j2+J, a) binom(2j1, j1-m1) binom(2j2, j2+m2)
+    binom(2J, J+M)] is one exact integer ratio, and int / int rounds it once.
+    """
+    a, p, q = (tj1 + tj2 - tJ) // 2, (tJ + tj1 - tj2) // 2, (tJ - tj1 + tj2) // 2
+    b, c = (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    s = sum((-1) ** k * math.comb(a, k) * math.comb(p, b - k) * math.comb(q, c - k)
+            for k in range(max(0, b - p, c - q), min(a, b, c) + 1))
+    num = (tJ + 1) * math.comb(tj1, a) * math.comb(tj2, a) * s * s
+    den = ((a + p + q + 1) * math.comb(a + p + q, a) * math.comb(tj1, b) * math.comb(tj2, c)
+           * math.comb(tJ, (tJ + tM) // 2))
+    return math.copysign(math.sqrt(num / den), s)
 
 
 @lru_cache(maxsize=None)
 def clebsch_gordan(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt,
                    J: HalfInt, M: HalfInt) -> float:
-    """Clebsch-Gordan coefficient C^{J M}_{j1 m1, j2 m2} (Racah sum, exact rationals).
+    """Clebsch-Gordan coefficient C^{J M}_{j1 m1, j2 m2} (Racah sum, exact integers).
 
     Returns 0 when M != m1 + m2.  Python's unbounded integers keep the Racah
     sum exact for any j, so no log-gamma fallback is needed here.
     """
-    j1, m1, j2, m2 = HalfInt(j1), HalfInt(m1), HalfInt(j2), HalfInt(m2)
-    J, M = HalfInt(J), HalfInt(M)
+    j1, m1, j2, m2, J, M = (half(x) for x in (j1, m1, j2, m2, J, M))
     check_jm(j1, m1)
     check_jm(j2, m2)
     check_jm(J, M)
@@ -236,29 +259,4 @@ def clebsch_gordan(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt,
         raise DomainError(f"J = {J} not in coupling range of ({j1}, {j2})")
     if M.twice != m1.twice + m2.twice:
         return 0.0
-
-    def iv(x: HalfInt) -> int:
-        if x.twice % 2 != 0:
-            raise DomainError("non-integer factorial argument")
-        return x.twice // 2
-
-    # triangle coefficient and weight factorials, all exact integers
-    pref2 = Fraction(J.twice + 1, 1)
-    pref2 *= Fraction(
-        _fact(iv(j1 + j2 - J)) * _fact(iv(j1 - j2 + J)) * _fact(iv(j2 - j1 + J)),
-        _fact(iv(j1 + j2 + J) + 1),
-    )
-    pref2 *= (
-        _fact(iv(J + M)) * _fact(iv(J - M))
-        * _fact(iv(j1 - m1)) * _fact(iv(j1 + m1))
-        * _fact(iv(j2 - m2)) * _fact(iv(j2 + m2))
-    )
-
-    k_min = max(0, iv(j2 - J - m1), iv(j1 + m2 - J))
-    k_max = min(iv(j1 + j2 - J), iv(j1 - m1), iv(j2 + m2))
-    total = sum(Fraction((-1) ** k, _fact(k) * _fact(iv(j1 + j2 - J) - k) * _fact(iv(j1 - m1) - k)
-                         * _fact(iv(j2 + m2) - k) * _fact(iv(J - j2 + m1) + k)
-                         * _fact(iv(J - j1 - m2) + k))
-                for k in range(k_min, k_max + 1))
-    value2 = pref2 * total * total  # = C^2, a rational <= 1
-    return math.copysign(math.sqrt(float(value2)), float(total))
+    return _racah(j1.twice, m1.twice, j2.twice, m2.twice, J.twice, M.twice)

@@ -225,6 +225,13 @@ class TestFidelityMonteCarlo:
         with pytest.raises(DomainError):
             fidelity_montecarlo(state, "1/2", povm, samples=0, seed=0)
 
+    @pytest.mark.parametrize("samples", [2.5, 10.0, "10", None, -1])
+    def test_rejects_non_int_samples(self, samples):
+        state = GenericState.parallel()
+        povm = max_fidelity(state, "1/2", certify=False).povm
+        with pytest.raises(DomainError):
+            fidelity_montecarlo(state, "1/2", povm, samples=samples, seed=0)
+
     def test_peak_memory_bounded_at_large_j2(self):
         # one 201 x 60000 float array alone would take about 100 MB
         state = GenericState.two_term(0.609)

@@ -95,10 +95,10 @@ class TestSingleEstimate:
         trig = signal_trig_blocks(state, half("1/2"))
         for J, blk in trig.blocks.items():
             mu_star, val = optimal_single_estimate(state, "1/2", J)
-            f = lambda m: blk.trace_coeffs()[0] \
-                + blk.trace_coeffs()[1] * math.sin(m) + blk.trace_coeffs()[2] * math.cos(m)
+            t0, t1, t2 = blk.trace_coeffs()
+            f = lambda m: t0 + t1 * np.sin(m) + t2 * np.cos(m)  # a float or the whole grid
             grid = np.linspace(0.0, math.pi, 100001)
-            k = int(np.argmax([f(m) for m in grid]))
+            k = int(np.argmax(f(grid)))
             # refine by rooting the numerical derivative; function-value search
             # alone floors at sqrt(eps) near the peak
             h = 1e-6

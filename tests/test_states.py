@@ -203,6 +203,11 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < 20e6
 
+    @pytest.mark.parametrize("samples", [0, 10.5, 10.0, "10", None])
+    def test_rejects_bad_samples(self, samples):
+        with pytest.raises(DomainError):
+            averaged_state_oracle(GenericState.antiparallel(), "1/2", 0.7, samples=samples, seed=0)
+
     @pytest.mark.parametrize("beta", BAD_BETAS)
     def test_rejects_bad_beta(self, beta):
         state = GenericState.antiparallel()

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from relangle.su2 import (
+    _highest_weight_vector,
     _jy_eigenbasis,
     DomainError,
     HalfInt,
@@ -18,6 +19,39 @@ from relangle.su2 import (
     wigner_d_highest,
     wigner_d_matrix,
 )
+
+
+def racah_fraction(tj1, tm1, tj2, tm2, tJ, tM):
+    """C^{J M}_{j1 m1, j2 m2} by the Racah sum in exact Fractions, from valid doubled labels.
+
+    The reference the integer kernel must match bit for bit: float() of the
+    exact C^2 is correctly rounded, and so is the kernel's int / int.
+    """
+    f = math.factorial
+    a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
+    pref2 = Fraction((tJ + 1) * f(a) * f((tj1 - tj2 + tJ) // 2) * f((tj2 - tj1 + tJ) // 2),
+                     f((tj1 + tj2 + tJ) // 2 + 1))
+    pref2 *= (f((tJ + tM) // 2) * f((tJ - tM) // 2) * f(b) * f((tj1 + tm1) // 2)
+              * f((tj2 - tm2) // 2) * f(c))
+    total = sum(Fraction((-1) ** k, f(k) * f(a - k) * f(b - k) * f(c - k) * f(d + k) * f(e + k))
+                for k in range(max(0, -d, -e), min(a, b, c) + 1))
+    return math.copysign(math.sqrt(float(pref2 * total * total)), float(total))
+
+
+def highest_weight_scalar(twice_j, twice_m, beta):
+    """d^j_{m,j}(beta) one entry at a time, by the closed form in math-module log space."""
+    a, b = (twice_j + twice_m) // 2, (twice_j - twice_m) // 2
+    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    if (a > 0 and c == 0.0) or (b > 0 and s == 0.0):
+        return 0.0
+    log_mag = 0.5 * (math.lgamma(a + b + 1) - math.lgamma(a + 1) - math.lgamma(b + 1))
+    if a > 0:
+        log_mag += a * math.log(abs(c))
+    if b > 0:
+        log_mag += b * math.log(abs(s))
+    val = math.exp(log_mag)
+    return -val if c < 0.0 and a % 2 else val
 
 
 class TestHalfInt:
@@ -99,6 +133,26 @@ class TestHalfInt:
                 half(bad)
         with pytest.raises(OverflowError):
             half(math.inf)
+
+
+class TestBareIntLabels:
+    """A bare int label is its physical value, as for half(), in the d, CG and coupling functions."""
+
+    def test_couple_range(self):
+        assert couple_range(1, 1) == couple_range(half(1), half(1)) == [0, 1, 2]
+
+    def test_wigner_d(self):
+        assert wigner_d_matrix(1, 0.3).shape == (1, 3, 3)
+        assert np.array_equal(wigner_d_matrix(1, [0.3, 1.2]), wigner_d_matrix(half(1), [0.3, 1.2]))
+        assert wigner_d(2, -1, 1, 0.3) == wigner_d(half(2), half(-1), half(1), 0.3)
+        assert wigner_d_highest(2, -1, 0.3) == wigner_d_highest(half(2), half(-1), 0.3)
+
+    def test_clebsch_gordan(self):
+        labels = (2, 0, 1, 1, 3, 1)
+        got = clebsch_gordan(*labels)
+        assert got == clebsch_gordan(*(half(x) for x in labels))
+        # J = j1 + 1, m2 = 1: C^2 = (j1 + M)(j1 + M + 1) / ((2j1 + 1)(2j1 + 2)) = 2/5
+        assert got == pytest.approx(math.sqrt(0.4), abs=1e-15)
 
 
 class TestRanges:
@@ -231,6 +285,16 @@ class TestWignerDHighest:
         with pytest.raises(DomainError):
             wigner_d_highest(half(1), half(0), beta)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.3, math.pi / 2, math.pi, math.pi + 1e-12])
+    def test_column_matches_scalar_closed_form(self, beta):
+        for twice_j in range(201):
+            j = HalfInt(twice_j)
+            column = _highest_weight_vector(j, beta)
+            scalar = np.array([highest_weight_scalar(twice_j, m.twice, beta) for m in m_range(j)])
+            assert np.isfinite(column).all()
+            assert np.abs(column - scalar).max() <= 2e-16
+            assert wigner_d_highest(j, m_range(j)[-1], beta) == column[-1]
+
 
 class TestClebschGordan:
     def test_stretch_state(self):
@@ -284,6 +348,26 @@ class TestClebschGordan:
                             )
                             expect = 1.0 if J == Jp else 0.0
                             assert abs(s - expect) < 1e-12
+
+    @pytest.mark.parametrize("j2", ["1/2", 1, "3/2", 10, "99/2", 50, 100])
+    def test_matches_fraction_racah_sum_exactly(self, j2):
+        j2 = half(j2)
+        checked = 0
+        for twice_j1 in range(7):
+            j1 = HalfInt(twice_j1)
+            for m1 in m_range(j1):
+                for J in couple_range(j1, j2):
+                    for m2 in m_range(j2):
+                        M = m1 + m2
+                        if abs(M.twice) > J.twice:
+                            continue
+                        # uncached, so the run does not fill the lru cache
+                        got = clebsch_gordan.__wrapped__(j1, m1, j2, m2, J, M)
+                        want = racah_fraction(j1.twice, m1.twice, j2.twice, m2.twice,
+                                              J.twice, M.twice)
+                        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+                        checked += 1
+        assert checked > 0
 
     def test_large_j_exact_path(self):
         # the Racah sum stays exact at large labels; normalization must hold
