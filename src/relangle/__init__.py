@@ -27,10 +27,9 @@ from .states import (
     state_to_text,
 )
 from .estimator import (
+    BlockPovm,
     MomentTriple,
-    PairEstimate,
     PovmSpec,
-    SingleEstimate,
     StructureMismatchError,
     TrigBlock,
     TrigBlocks,
@@ -46,8 +45,7 @@ from .optimizer import (
     UnsupportedBlockError,
     helstrom_certificate,
     max_fidelity,
-    optimal_pair,
-    optimal_single_estimate,
+    optimal_block,
     optimize_state,
     optimize_trig_blocks,
     two_term_nu,
@@ -79,10 +77,9 @@ __all__ = [
     "signal_density",
     "state_from_text",
     "state_to_text",
+    "BlockPovm",
     "MomentTriple",
-    "PairEstimate",
     "PovmSpec",
-    "SingleEstimate",
     "StructureMismatchError",
     "TrigBlock",
     "TrigBlocks",
@@ -96,8 +93,7 @@ __all__ = [
     "UnsupportedBlockError",
     "helstrom_certificate",
     "max_fidelity",
-    "optimal_pair",
-    "optimal_single_estimate",
+    "optimal_block",
     "optimize_state",
     "optimize_trig_blocks",
     "two_term_nu",

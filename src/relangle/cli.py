@@ -17,7 +17,7 @@ import numpy as np
 
 from .su2 import DomainError, HalfInt, half
 from .states import GenericState, state_from_text
-from .estimator import PairEstimate, fidelity_montecarlo, signal_trig_blocks
+from .estimator import fidelity_montecarlo, signal_trig_blocks
 from .optimizer import (
     CERTIFICATE_GRID,
     CERTIFICATE_GRID_MIN,
@@ -102,11 +102,10 @@ def _resolve_state(selector: str, j2: HalfInt) -> GenericState:
 
 
 def _pair_nu(result) -> float:
-    """Estimate angle of the lowest-J two-outcome block, nan if all blocks are single."""
-    for J in sorted(result.povm.per_block, key=lambda J: J.twice):
-        spec = result.povm.per_block[J]
-        if isinstance(spec, PairEstimate):
-            return spec.nu
+    """Smaller estimate of the lowest-J block with two outcomes, nan if there is none."""
+    for _, spec in sorted(result.povm.per_block.items(), key=lambda item: item[0].twice):
+        if len(spec.mus) == 2:
+            return float(spec.mus.min())
     return math.nan
 
 

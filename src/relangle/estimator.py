@@ -143,56 +143,52 @@ def _sym_entries(m: np.ndarray) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # POVM descriptions
 
-@dataclass(frozen=True)
-class SingleEstimate:
-    """One outcome for the whole block; the element is the block identity."""
+@dataclass(eq=False)
+class BlockPovm:
+    """Measurement on one J block: outcome i has estimate mus[i] and element elements[i]."""
 
-    mu: float
+    mus: np.ndarray  # (k,)
+    elements: np.ndarray  # (k, d, d)
 
-
-@dataclass
-class PairEstimate:
-    """Two outcomes (nu, pi - nu) with orthogonal rank-one projectors."""
-
-    nu: float
-    proj_nu: np.ndarray
-    proj_conjugate: np.ndarray  # paired with the estimate pi - nu
-
-    def elements(self) -> list[tuple[float, np.ndarray]]:
-        return [(self.nu, self.proj_nu), (math.pi - self.nu, self.proj_conjugate)]
+    def __post_init__(self):
+        # float arrays, from lists too; complex or non-numeric input raises TypeError
+        self.mus = np.asarray(self.mus).astype(float, casting="same_kind", copy=False)
+        self.elements = np.asarray(self.elements).astype(float, casting="same_kind", copy=False)
 
 
 @dataclass
 class PovmSpec:
-    """Per-J-sector measurement: SingleEstimate or PairEstimate blocks."""
+    """Per-J-sector measurement: one BlockPovm per block."""
 
-    per_block: dict[HalfInt, SingleEstimate | PairEstimate]
+    per_block: dict[HalfInt, BlockPovm]
 
     def elements(self, J: HalfInt, dim: int) -> list[tuple[float, np.ndarray]]:
-        spec = self.per_block[J]
-        if isinstance(spec, SingleEstimate):
-            return [(spec.mu, np.eye(dim))]
-        if dim != 2:
-            raise StructureMismatchError(f"pair estimate on block of dimension {dim}")
-        return spec.elements()
+        """(estimate, element) pairs of block J; the elements carry dim themselves."""
+        return list(zip(self.per_block[J].mus, self.per_block[J].elements))
 
-    def validate(self, dims: dict[HalfInt, int], tol: float = _PSD_TOL) -> None:
-        """Check finiteness, per-block completeness and positive semidefiniteness."""
+    def validate(self, dims: dict[HalfInt, int]) -> None:
+        """Check shapes, finiteness, per-block completeness and positive semidefiniteness."""
         if set(self.per_block) != set(dims):
             raise StructureMismatchError("POVM blocks do not match the coupling structure")
         for J, dim in dims.items():
-            els = self.elements(J, dim)
-            if not all(math.isfinite(mu) and np.isfinite(e).all() for mu, e in els):
+            mus, els = self.per_block[J].mus, self.per_block[J].elements
+            if mus.ndim != 1 or els.shape != (len(mus), dim, dim):
+                raise StructureMismatchError(f"block J={J} of dimension {dim} has estimates "
+                                             f"of shape {mus.shape}, elements {els.shape}")
+            gap = els.sum(axis=0)
+            gap.flat[::dim + 1] -= 1.0
+            gap = np.abs(gap).max()  # not finite unless every element entry is
+            if not (math.isfinite(gap) and np.isfinite(mus).all()):
                 raise DomainError(f"block J={J} has a non-finite estimate or element entry")
-            if isinstance(self.per_block[J], SingleEstimate):
-                continue  # one outcome: the block identity
-            acc = np.zeros((dim, dim))
-            for _, e in els:
-                if _lambda_min(*_sym_entries((e + e.T) / 2.0)) < -tol:
-                    raise StructureMismatchError(f"element on block J={J} not PSD")
-                acc += e
-            if np.abs(acc - np.eye(dim)).max() > tol:
+            if gap > _PSD_TOL:
                 raise StructureMismatchError(f"block J={J} elements do not sum to identity")
+            if len(mus) == 1:
+                continue  # a lone element equal to the identity is PSD
+            sym = (els + els.transpose(0, 2, 1)) / 2.0
+            # .T stacks each (a, b, c) entry over the outcomes
+            low = _lambda_min(*_sym_entries(sym.T)) if dim <= 2 else np.linalg.eigvalsh(sym)
+            if low.min() < -_PSD_TOL:
+                raise StructureMismatchError(f"element on block J={J} not PSD")
 
 
 def block_dims(state: GenericState, j2: HalfInt) -> dict[HalfInt, int]:
@@ -206,7 +202,7 @@ def fidelity(state: GenericState, j2: HalfInt, povm: PovmSpec) -> float:
     povm.validate({J: blk.dim for J, blk in trig.blocks.items()})
     total = 0.0
     for J, blk in trig.blocks.items():
-        for mu, element in povm.elements(J, blk.dim):
+        for mu, element in zip(povm.per_block[J].mus, povm.per_block[J].elements):
             total += float(np.trace(blk.at(mu) @ element))
     return total
 
@@ -234,7 +230,7 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     coef_rows = []
     for J, (basis, cols) in table.items():
         amps = np.array([state.amplitude(j1) for j1 in basis])
-        for mu, element in povm.elements(J, len(basis)):
+        for mu, element in zip(povm.per_block[J].mus, povm.per_block[J].elements):
             weight = (np.outer(amps, amps) * element.T)[:, :, None]
             mus.append(mu)
             coef_rows.append((weight * cols[:, None, :] * cols[None, :, :]).sum(axis=(0, 1)))

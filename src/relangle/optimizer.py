@@ -21,9 +21,8 @@ import numpy as np
 
 from .su2 import DomainError, HalfInt, half
 from .estimator import (
-    PairEstimate,
+    BlockPovm,
     PovmSpec,
-    SingleEstimate,
     TrigBlock,
     TrigBlocks,
     _geometry,
@@ -40,6 +39,7 @@ CERTIFICATE_PASS = -1e-9
 _REFINE_POINTS = 1001
 # (a, b, c) places of k2 in the solved 1- and 2-dim blocks, built once
 _UPPER = {1: np.triu_indices(1), 2: np.triu_indices(2)}
+_IDENTITY_1 = np.broadcast_to(1.0, (1, 1, 1))  # every 1-dim block's one element, read-only
 
 
 class UnsupportedBlockError(ValueError):
@@ -77,42 +77,29 @@ def _block_value(t0, t1, a, b=0.0, c=0.0):
     return t0 + np.hypot(t1, norm), np.arctan2(t1, norm)
 
 
-def _block_optimum(J: HalfInt, blk: TrigBlock) -> tuple[SingleEstimate | PairEstimate, float]:
-    """Best estimate(s) for one block and the block's fidelity contribution.
+def _block_optimum(J: HalfInt, blk: TrigBlock) -> tuple[BlockPovm, float]:
+    """Best measurement for one block and the block's fidelity contribution.
 
     The pair objective tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1 peaks at
     nu = atan2(tr k1, ||k2||_1); the k2 eigenvectors with positive eigenvalue
     take nu, the rest pi - nu.  Clamping tr k1 at 0 gives the endpoint optimum.
+    A 1-dim block has the single outcome nu or pi - nu.
     """
     _check_block(J, blk.dim)
     contrib, nu = map(float, _block_value(np.trace(blk.k0), np.trace(blk.k1),
                                           *blk.k2[_UPPER[blk.dim]]))
     if blk.dim == 1:
-        return SingleEstimate(nu if blk.k2[0, 0] > 0.0 else math.pi - nu), contrib
+        return BlockPovm([nu if blk.k2[0, 0] > 0.0 else math.pi - nu], _IDENTITY_1), contrib
     lam, vecs = np.linalg.eigh(blk.k2)
     pos = vecs[:, lam > 0.0]
     proj_nu = pos @ pos.T
-    return PairEstimate(nu=nu, proj_nu=proj_nu, proj_conjugate=np.eye(2) - proj_nu), contrib
+    return BlockPovm([nu, math.pi - nu], [proj_nu, np.eye(2) - proj_nu]), contrib
 
 
-def _solved_block(state: GenericState, j2: HalfInt, J: HalfInt, dim: int):
+def optimal_block(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[BlockPovm, float]:
+    """Optimal measurement on block J of the signal and its fidelity contribution."""
     J = half(J)
-    blk = signal_trig_blocks(state, half(j2)).blocks[J]
-    if blk.dim != dim:
-        raise UnsupportedBlockError(f"block J={J} has dimension {blk.dim}, expected {dim}")
-    return _block_optimum(J, blk)
-
-
-def optimal_single_estimate(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[float, float]:
-    """Best single estimate and its fidelity contribution for a 1-dim block."""
-    single, contrib = _solved_block(state, j2, J, 1)
-    return single.mu, contrib
-
-
-def optimal_pair(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[float, PairEstimate, float]:
-    """Optimal (nu, pi - nu) two-outcome measurement for a 2-dim block."""
-    pair, contrib = _solved_block(state, j2, J, 2)
-    return pair.nu, pair, contrib
+    return _block_optimum(J, signal_trig_blocks(state, half(j2)).blocks[J])
 
 
 def _certificate(trig: TrigBlocks, povm: PovmSpec, grid: int) -> float:
@@ -120,7 +107,8 @@ def _certificate(trig: TrigBlocks, povm: PovmSpec, grid: int) -> float:
     entries = []  # (a, b, c) of Upsilon - k0, k1 and k2 per block
     for J, blk in trig.blocks.items():
         _check_block(J, blk.dim)
-        upsilon = sum(blk.at(mu) @ element for mu, element in povm.elements(J, blk.dim))
+        spec = povm.per_block[J]
+        upsilon = sum(blk.at(mu) @ element for mu, element in zip(spec.mus, spec.elements))
         upsilon = (upsilon + upsilon.T) / 2.0
         entries.append([_sym_entries(m) for m in (upsilon - blk.k0, blk.k1, blk.k2)])
     gap, k1, k2 = np.array(entries).transpose(1, 2, 0)[..., None]  # each (3, blocks, 1)

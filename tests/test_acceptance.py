@@ -16,8 +16,8 @@ from relangle.states import (
     coupled_basis_matrix,
 )
 from relangle.estimator import (
+    BlockPovm,
     PovmSpec,
-    SingleEstimate,
     block_dims,
     fidelity,
     fidelity_montecarlo,
@@ -26,7 +26,7 @@ from relangle.estimator import (
 from relangle.optimizer import (
     helstrom_certificate,
     max_fidelity,
-    optimal_pair,
+    optimal_block,
     optimize_state,
     two_term_nu,
 )
@@ -70,7 +70,7 @@ def test_criterion_3_optimal_preparation():
 def test_criterion_4_closed_form_nu():
     worst = 0.0
     for a in (0.1, 0.3, 0.5, 0.609, 0.7, 0.9):
-        nu_num, _, _ = optimal_pair(GenericState.two_term(a), "1/2", "1/2")
+        nu_num = optimal_block(GenericState.two_term(a), "1/2", "1/2")[0].mus[0]
         worst = max(worst, abs(nu_num - two_term_nu(a)))
     assert worst <= 1e-8
     print(f"\ncriterion 4 PASS: max |nu_closed - nu_numeric| = {worst:.2e} "
@@ -214,7 +214,7 @@ def test_criterion_8_property_suite():
     worst_floor = 0.0
     for state in (GenericState.parallel(), GenericState.two_term(0.3)):
         dims = block_dims(state, "3/2")
-        povm = PovmSpec({J: SingleEstimate(math.pi / 2) for J in dims})
+        povm = PovmSpec({J: BlockPovm([math.pi / 2], [np.eye(dim)]) for J, dim in dims.items()})
         worst_floor = max(worst_floor,
                           abs(fidelity(state, "3/2", povm) - BLIND_GUESS))
     assert worst_floor <= 1e-10

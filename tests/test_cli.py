@@ -4,7 +4,12 @@ import pytest
 
 from relangle.cli import OUTPUT_DIR_ENV, RunConfig, main
 from relangle.limits import default_sweep_grid
-from relangle.optimizer import CERTIFICATE_GRID_MIN, helstrom_certificate, max_fidelity
+from relangle.optimizer import (
+    CERTIFICATE_GRID_MIN,
+    helstrom_certificate,
+    max_fidelity,
+    two_term_nu,
+)
 from relangle.su2 import half
 from relangle.states import GenericState, state_to_text
 
@@ -57,6 +62,15 @@ class TestFidelitySweep:
                          "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_nu_column_is_the_closed_form(self, tmp_path):
+        # nu is the smaller estimate of the lowest-J two-outcome block
+        out = tmp_path / "sweep.csv"
+        assert main(["fidelity-sweep", "--j2", "1/2", "--a-grid-step", "0.1",
+                     "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 11
+        for a, _, nu, _ in rows:
+            assert abs(float(nu) - two_term_nu(float(a))) <= 1e-8
 
     @pytest.mark.parametrize("step, amplitudes", [
         ("0.3", ["0", "0.3", "0.6", "0.9", "1"]),

@@ -8,9 +8,8 @@ from numpy.polynomial.legendre import leggauss
 from relangle.su2 import DomainError, half, m_range
 from relangle.states import GenericState, averaged_state
 from relangle.estimator import (
-    PairEstimate,
+    BlockPovm,
     PovmSpec,
-    SingleEstimate,
     StructureMismatchError,
     a_operator,
     block_dims,
@@ -20,9 +19,14 @@ from relangle.estimator import (
     signal_trig_blocks,
     utility,
 )
-from relangle.optimizer import max_fidelity
+from relangle.optimizer import helstrom_certificate, max_fidelity
 
 BLIND_GUESS = 0.5 + math.pi / 8.0
+
+
+def blind_povm(dims, mu=math.pi / 2):
+    """One outcome per block with estimate mu and the block identity as element."""
+    return PovmSpec({J: BlockPovm([mu], [np.eye(dim)]) for J, dim in dims.items()})
 
 
 def quad_nodes(n=200):
@@ -143,34 +147,118 @@ class TestPovmSpec:
     def test_single_estimate_completeness(self):
         state = GenericState.parallel()
         dims = block_dims(state, "1/2")
-        povm = PovmSpec({J: SingleEstimate(math.pi / 2) for J in dims})
-        povm.validate(dims)
+        blind_povm(dims).validate(dims)
 
     def test_structure_mismatch(self):
         state = GenericState.two_term(0.6)
         dims = block_dims(state, "1/2")
         with pytest.raises(StructureMismatchError):
-            PovmSpec({half("3/2"): SingleEstimate(0.1)}).validate(dims)
+            PovmSpec({half("3/2"): BlockPovm([0.1], [[[1.0]]])}).validate(dims)
 
     def test_incomplete_pair_rejected(self):
         state = GenericState.two_term(0.6)
         dims = block_dims(state, "1/2")
         bad = PovmSpec({
-            half("1/2"): PairEstimate(0.3, np.diag([1.0, 0.0]), np.diag([0.0, 0.5])),
-            half("3/2"): SingleEstimate(0.1),
+            half("1/2"): BlockPovm([0.3, math.pi - 0.3],
+                                   [np.diag([1.0, 0.0]), np.diag([0.0, 0.5])]),
+            half("3/2"): BlockPovm([0.1], [[[1.0]]]),
         })
-        with pytest.raises(StructureMismatchError):
+        with pytest.raises(StructureMismatchError, match="sum to identity"):
             bad.validate(dims)
 
     def test_non_psd_rejected(self):
         state = GenericState.two_term(0.6)
         dims = block_dims(state, "1/2")
         bad = PovmSpec({
-            half("1/2"): PairEstimate(0.3, np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])),
-            half("3/2"): SingleEstimate(0.1),
+            half("1/2"): BlockPovm([0.3, math.pi - 0.3],
+                                   [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]),
+            half("3/2"): BlockPovm([0.1], [[[1.0]]]),
         })
-        with pytest.raises(StructureMismatchError):
+        with pytest.raises(StructureMismatchError, match="not PSD"):
             bad.validate(dims)
+
+
+class TestBlockPovm:
+    def test_lists_become_float_arrays(self):
+        block = BlockPovm([1], [[[1]]])
+        assert block.mus.dtype == block.elements.dtype == np.float64
+        assert block.mus.shape == (1,) and block.elements.shape == (1, 1, 1)
+
+    def test_complex_input_fails(self):
+        with pytest.raises(TypeError):
+            BlockPovm([0.3], np.eye(2, dtype=complex)[None])
+        with pytest.raises(TypeError):
+            BlockPovm([0.3 + 0.1j], [np.eye(2)])
+
+
+def with_block(povm, J, block):
+    """The optimal POVM of the caller with block J replaced."""
+    return PovmSpec({**povm.per_block, half(J): block})
+
+
+PROJ_3 = np.diag([1.0, 0.0, 0.0])
+MALFORMED = {
+    # a 3x3 projector pair on the 2-dim J = 1/2 block of two_term(0.6) at j2 = 1/2
+    "three_by_three": BlockPovm([0.3, math.pi - 0.3], [PROJ_3, np.eye(3) - PROJ_3]),
+    "mus_not_1d": BlockPovm([[0.3, math.pi - 0.3]], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+    "count_mismatch": BlockPovm([0.3, math.pi - 0.3], [np.eye(2)]),
+}
+
+
+class TestMalformedBlock:
+    """Every entry point names the block instead of failing inside numpy."""
+
+    @pytest.fixture(params=sorted(MALFORMED))
+    def povm(self, request):
+        state = GenericState.two_term(0.6)
+        povm = max_fidelity(state, "1/2", certify=False).povm
+        return state, with_block(povm, "1/2", MALFORMED[request.param])
+
+    def test_validate(self, povm):
+        state, povm = povm
+        with pytest.raises(StructureMismatchError, match="J=1/2 "):
+            povm.validate(block_dims(state, "1/2"))
+
+    def test_fidelity(self, povm):
+        with pytest.raises(StructureMismatchError, match="J=1/2 "):
+            fidelity(povm[0], "1/2", povm[1])
+
+    def test_fidelity_montecarlo(self, povm):
+        with pytest.raises(StructureMismatchError, match="J=1/2 "):
+            fidelity_montecarlo(povm[0], "1/2", povm[1], samples=10, seed=0)
+
+    def test_helstrom_certificate(self, povm):
+        with pytest.raises(StructureMismatchError, match="J=1/2 "):
+            helstrom_certificate(povm[0], "1/2", povm[1])
+
+
+# j2 = 1 couples all three labels into the 3-dim J = 1 block
+THREE_TERM = GenericState.from_dict(0, {0: 0.5, 1: 0.5, 2: math.sqrt(0.5)})
+
+
+class TestThreeDimBlock:
+    def povm(self, block):
+        return with_block(blind_povm(block_dims(THREE_TERM, 1)), 1, block)
+
+    def test_non_psd_element_rejected(self):
+        # the corners of diag(0.5, -0.5, 0.5) form a PSD 2x2 matrix
+        bad = np.diag([0.5, -0.5, 0.5])
+        povm = self.povm(BlockPovm([0.3, 2.8], [bad, np.eye(3) - bad]))
+        with pytest.raises(StructureMismatchError, match="J=1 .*not PSD"):
+            fidelity(THREE_TERM, 1, povm)
+
+    def test_three_outcome_povm_accepted(self):
+        q, _ = np.linalg.qr(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]))
+        mus = [0.2, 1.5, 2.9]
+        projectors = [np.outer(v, v) for v in q.T]
+        povm = self.povm(BlockPovm(mus, projectors))
+        f = fidelity(THREE_TERM, 1, povm)
+        expected = sum(float(np.trace(a_operator(THREE_TERM, 1, mu).block(J) @ e))
+                       for J, block in povm.per_block.items()
+                       for mu, e in zip(block.mus, block.elements))
+        assert f == pytest.approx(expected, abs=1e-14)
+        est, err = fidelity_montecarlo(THREE_TERM, 1, povm, samples=100000, seed=3)
+        assert abs(est - f) < 4.0 * err
 
 
 class TestFidelity:
@@ -178,8 +266,7 @@ class TestFidelity:
         for state in (GenericState.parallel(), GenericState.antiparallel(),
                       GenericState.two_term(0.2)):
             for j2 in ("1/2", "5/2"):
-                dims = block_dims(state, j2)
-                povm = PovmSpec({J: SingleEstimate(math.pi / 2) for J in dims})
+                povm = blind_povm(block_dims(state, j2))
                 assert fidelity(state, j2, povm) == pytest.approx(BLIND_GUESS, abs=1e-10)
 
     def test_bounded_by_one(self):
@@ -187,7 +274,7 @@ class TestFidelity:
         assert BLIND_GUESS <= result.fidelity <= 1.0
 
     def test_mismatched_povm_rejected(self):
-        povm = PovmSpec({half("1/2"): SingleEstimate(0.3)})
+        povm = PovmSpec({half("1/2"): BlockPovm([0.3], [np.eye(2)])})
         with pytest.raises(StructureMismatchError):
             fidelity(GenericState.parallel(), "1/2", povm)
 
@@ -202,8 +289,7 @@ class TestFidelityMonteCarlo:
 
     def test_single_outcome_estimates_blind_average(self):
         state = GenericState.parallel()
-        dims = block_dims(state, "1/2")
-        povm = PovmSpec({J: SingleEstimate(math.pi / 2) for J in dims})
+        povm = blind_povm(block_dims(state, "1/2"))
         est, err = fidelity_montecarlo(state, "1/2", povm, samples=100000, seed=1)
         assert abs(est - BLIND_GUESS) < 4.0 * err
         # utility (1 + sin beta) / 2 has variance (2/3 - pi^2/16) / 4 under the prior

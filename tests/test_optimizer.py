@@ -7,9 +7,8 @@ from hypothesis import example, given, strategies as st
 from relangle.su2 import DomainError, HalfInt, half
 from relangle.states import GenericState
 from relangle.estimator import (
-    PairEstimate,
+    BlockPovm,
     PovmSpec,
-    SingleEstimate,
     TrigBlock,
     _lambda_min,
     block_dims,
@@ -29,8 +28,7 @@ from relangle.optimizer import (
     _fidelities,
     helstrom_certificate,
     max_fidelity,
-    optimal_pair,
-    optimal_single_estimate,
+    optimal_block,
     optimize_state,
     optimize_trig_blocks,
     two_term_nu,
@@ -74,27 +72,29 @@ def random_povm(dims, rng):
     per_block = {}
     for J, dim in dims.items():
         if dim == 1 or rng.uniform() < 0.3:
-            per_block[J] = SingleEstimate(rng.uniform(0.0, math.pi))
+            per_block[J] = BlockPovm([rng.uniform(0.0, math.pi)], [np.eye(dim)])
         else:
             theta = rng.uniform(0.0, math.pi)
             v = np.array([math.cos(theta), math.sin(theta)])
             p = np.outer(v, v)
-            per_block[J] = PairEstimate(rng.uniform(0.0, math.pi / 2),
-                                        p, np.eye(2) - p)
+            nu = rng.uniform(0.0, math.pi / 2)
+            per_block[J] = BlockPovm([nu, math.pi - nu], [p, np.eye(2) - p])
     return PovmSpec(per_block)
 
 
 class TestSingleEstimate:
     def test_higher_block_peak_at_half_pi(self):
-        mu, _ = optimal_single_estimate(GenericState.two_term(0.6), "1/2", "3/2")
-        assert mu == pytest.approx(math.pi / 2, abs=1e-12)
+        single, _ = optimal_block(GenericState.two_term(0.6), "1/2", "3/2")
+        assert single.mus.shape == (1,)
+        assert single.mus[0] == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_parallel_blocks_match_grid_scan(self):
         from scipy.optimize import brentq
         state = GenericState.parallel()
         trig = signal_trig_blocks(state, half("1/2"))
         for J, blk in trig.blocks.items():
-            mu_star, val = optimal_single_estimate(state, "1/2", J)
+            single, val = optimal_block(state, "1/2", J)
+            (mu_star,) = single.mus
             t0, t1, t2 = blk.trace_coeffs()
             f = lambda m: t0 + t1 * np.sin(m) + t2 * np.cos(m)  # a float or the whole grid
             grid = np.linspace(0.0, math.pi, 100001)
@@ -108,10 +108,6 @@ class TestSingleEstimate:
             assert abs(mu_star - mu_num) < 1e-8
             assert val == pytest.approx(f(mu_star), abs=1e-14)
 
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(UnsupportedBlockError):
-            optimal_single_estimate(GenericState.two_term(0.6), "1/2", "1/2")
-
 
 def dense_pair_reference(blk, points=200001):
     """max over mu in [0, pi/2] of tr A(mu) + sum of positive eigenvalues of A(pi - mu) - A(mu)."""
@@ -124,9 +120,7 @@ def dense_pair_reference(blk, points=200001):
 
 
 def povm_value(blk, estimate):
-    if isinstance(estimate, SingleEstimate):
-        return float(np.trace(blk.at(estimate.mu)))
-    return sum(float(np.trace(blk.at(mu) @ e)) for mu, e in estimate.elements())
+    return sum(float(np.trace(blk.at(mu) @ e)) for mu, e in zip(estimate.mus, estimate.elements))
 
 
 SIGNAL_CASES = [
@@ -163,21 +157,16 @@ class TestBlockOptimum:
         ref = dense_pair_reference(blk)
         assert contrib == pytest.approx(ref, abs=1e-15)
         assert povm_value(blk, estimate) == pytest.approx(contrib, abs=1e-15)
-        mus = ([estimate.mu] if isinstance(estimate, SingleEstimate)
-               else [mu for mu, _ in estimate.elements()])
-        assert all(mu in (0.0, math.pi) for mu in mus)
+        assert all(mu in (0.0, math.pi) for mu in estimate.mus)
 
 
 class TestPairEstimateBlock:
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(UnsupportedBlockError):
-            optimal_pair(GenericState.two_term(0.6), "1/2", "3/2")
-
     @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.609, 0.7, 0.9])
     def test_closed_form_nu(self, a):
-        nu, pair, _ = optimal_pair(GenericState.two_term(a), "1/2", "1/2")
+        pair, _ = optimal_block(GenericState.two_term(a), "1/2", "1/2")
+        nu, conjugate = pair.mus
         assert abs(nu - two_term_nu(a)) < 1e-8
-        assert pair.nu == nu
+        assert conjugate == math.pi - nu
 
     def test_closed_form_nu_domain(self):
         assert two_term_nu(0.0) == two_term_nu(1.0) == math.pi / 2.0
@@ -188,29 +177,32 @@ class TestPairEstimateBlock:
     def test_degenerate_amplitudes(self):
         # off-diagonal vanishes; the pair construction must still be valid
         for a in (0.0, 1.0):
-            nu, pair, contrib = optimal_pair(GenericState.two_term(a), "1/2", "1/2")
-            total = pair.proj_nu + pair.proj_conjugate
+            pair, contrib = optimal_block(GenericState.two_term(a), "1/2", "1/2")
+            total = pair.elements.sum(axis=0)
             assert np.abs(total - np.eye(2)).max() < 1e-12
             assert contrib > 0.0
 
     def test_eigenvector_structure(self):
         # the difference operator is off-diagonal, so projectors lie along (1, +-1)
-        _, pair, _ = optimal_pair(GenericState.two_term(0.609), "1/2", "1/2")
+        pair, _ = optimal_block(GenericState.two_term(0.609), "1/2", "1/2")
+        proj_nu = pair.elements[0]
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-        spans = sorted([abs(plus @ pair.proj_nu @ plus),
-                        abs(minus @ pair.proj_nu @ minus)])
+        spans = sorted([abs(plus @ proj_nu @ plus),
+                        abs(minus @ proj_nu @ minus)])
         assert spans[0] == pytest.approx(0.0, abs=1e-12)
         assert spans[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_pair_relabeling_symmetry(self):
         state = GenericState.two_term(0.5)
-        nu, pair, contrib = optimal_pair(state, "1/2", "1/2")
+        pair, contrib = optimal_block(state, "1/2", "1/2")
+        nu = pair.mus[0]
+        proj_nu, proj_conjugate = pair.elements
         blk = signal_trig_blocks(state, half("1/2")).blocks[half("1/2")]
-        swapped = (float(np.trace(blk.at(nu) @ pair.proj_nu))
-                   + float(np.trace(blk.at(math.pi - nu) @ pair.proj_conjugate)))
-        relabeled = (float(np.trace(blk.at(math.pi - nu) @ pair.proj_conjugate))
-                     + float(np.trace(blk.at(nu) @ pair.proj_nu)))
+        swapped = (float(np.trace(blk.at(nu) @ proj_nu))
+                   + float(np.trace(blk.at(math.pi - nu) @ proj_conjugate)))
+        relabeled = (float(np.trace(blk.at(math.pi - nu) @ proj_conjugate))
+                     + float(np.trace(blk.at(nu) @ proj_nu)))
         assert swapped == relabeled
         assert contrib == pytest.approx(swapped, abs=1e-14)
 
@@ -249,7 +241,7 @@ class TestCertificate:
     def test_suboptimal_povm_detected(self):
         state = GenericState.parallel()
         dims = block_dims(state, "1/2")
-        povm = PovmSpec({J: SingleEstimate(0.0) for J in dims})
+        povm = PovmSpec({J: BlockPovm([0.0], [np.eye(dim)]) for J, dim in dims.items()})
         assert helstrom_certificate(state, "1/2", povm) < -1e-3
 
     def test_optimal_two_term_passes(self):
@@ -259,7 +251,8 @@ class TestCertificate:
 
     def test_three_dim_block_unsupported(self):
         # j2 = 1 couples all three labels into J = 1; the closed form covers 1x1 and 2x2
-        povm = PovmSpec({J: SingleEstimate(1.0) for J in block_dims(THREE_TERM, "1")})
+        povm = PovmSpec({J: BlockPovm([1.0], [np.eye(dim)])
+                         for J, dim in block_dims(THREE_TERM, "1").items()})
         with pytest.raises(UnsupportedBlockError, match="J=1"):
             helstrom_certificate(THREE_TERM, "1", povm)
 
@@ -337,16 +330,16 @@ class TestClosedFormCertificate:
         # the reduction over blocks must propagate NaN, never drop it
         state = GenericState.two_term(0.6)
         povm = max_fidelity(state, "1/2", certify=False).povm
-        povm.per_block[half("3/2")] = SingleEstimate(math.nan)
+        povm.per_block[half("3/2")] = BlockPovm([math.nan], [[[1.0]]])
         assert math.isnan(_certificate(signal_trig_blocks(state, half("1/2")), povm, 1001))
 
 
 def nan_pair(pair):
-    return PairEstimate(math.nan, pair.proj_nu, pair.proj_conjugate)
+    return BlockPovm(np.full(2, math.nan), pair.elements)
 
 
 def nan_projector(pair):
-    return PairEstimate(pair.nu, np.full((2, 2), math.nan), pair.proj_conjugate)
+    return BlockPovm(pair.mus, [np.full((2, 2), math.nan), pair.elements[1]])
 
 
 class TestNonFinitePovm:
@@ -358,7 +351,7 @@ class TestNonFinitePovm:
         povm = max_fidelity(state, "1/2", certify=False).povm
         J = half("1/2") if request.param != "single_nan" else half("3/2")
         replace = {"pair_nan_nu": nan_pair, "nan_projector": nan_projector,
-                   "single_nan": lambda _: SingleEstimate(math.nan)}[request.param]
+                   "single_nan": lambda _: BlockPovm([math.nan], [[[1.0]]])}[request.param]
         povm.per_block[J] = replace(povm.per_block[J])
         return state, povm
 
