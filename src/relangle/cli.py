@@ -59,8 +59,8 @@ class RunConfig:
             raise ValueError(f"a_grid_step = {self.a_grid_step} outside (0, 0.5]")
         if self.mu_grid < CERTIFICATE_GRID_MIN:
             raise ValueError(f"mu_grid = {self.mu_grid} below the minimum of {CERTIFICATE_GRID_MIN}")
-        if self.samples < 1:
-            raise ValueError(f"samples = {self.samples} must be >= 1")
+        if self.samples < 2:
+            raise ValueError(f"samples = {self.samples} must be >= 2 for a standard error")
         if self.j2.twice < 1:
             raise ValueError(f"j2 = {self.j2} must be at least 1/2")
 
@@ -170,7 +170,7 @@ def _run_montecarlo(cfg: RunConfig) -> int:
     state = _resolve_state(cfg.state, cfg.j2)
     result = max_fidelity(state, cfg.j2, certify=False)
     est, err = fidelity_montecarlo(state, cfg.j2, result.povm, cfg.samples, cfg.seed)
-    z = (est - result.fidelity) / err if err > 0.0 else 0.0
+    z = (est - result.fidelity) / err if err > 0.0 else math.nan  # no spread, no z
     print(f"j2={cfg.j2} state={cfg.state} samples={cfg.samples} seed={cfg.seed} "
           f"F_exact={_fmt(result.fidelity)} F_mc={_fmt(est)} stderr={_fmt(err)} "
           f"z={_fmt(z)}")

@@ -20,12 +20,13 @@ from .states import (
     _cg_contract,
     _cg_table,
     check_samples,
+    check_seed,
     coupling_structure,
 )
 
 _PSD_TOL = 1e-12
-# squared-amplitude entries fidelity_montecarlo holds at once
-_MC_CHUNK_ELEMENTS = 2 ** 18
+# squared-amplitude entries fidelity_montecarlo holds at once; 2**16 keeps its buffers in cache
+_MC_CHUNK_ELEMENTS = 2 ** 16
 
 
 class StructureMismatchError(ValueError):
@@ -214,13 +215,15 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     Draws beta from the sin(beta)/2 prior, picks an outcome from the exact
     per-outcome probabilities, and averages the utility of the outcome's
     estimate.  Deterministic for fixed (seed, samples).  Costs
-    O(samples * (2j2+1) * outcomes) time; the squared amplitudes and outcome
-    probabilities are formed and the utilities summed for max(1, 2**18 //
-    (2j2+1)) samples at a time, so only the two per-sample uniforms grow
-    with samples.
+    O(samples * (2j2+1) * outcomes) time, mostly two matrix products per
+    chunk of max(1, 2**16 // (2j2+1)) samples: log d^2 from the log-cosines,
+    then the outcome probabilities from exp of it.  Their three buffers are
+    allocated once per call and stay cache-sized, so only the two per-sample
+    uniforms grow with samples.
     """
     j2 = half(j2)
     check_samples(samples)
+    check_seed(seed)
     table = _cg_table(state.m1, state.j_labels, j2)
     povm.validate({J: len(basis) for J, (basis, _) in table.items()})
 
@@ -237,26 +240,35 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     mus = np.array(mus)
     coef = np.array(coef_rows)
 
-    log_binom = _log_binom(j2.twice)[:, None]
-    a_pow = np.arange(j2.twice + 1, dtype=float)[:, None]  # j2 + m2
-    b_pow = a_pow[::-1]  # j2 - m2
+    a_pow = np.arange(j2.twice + 1, dtype=float)  # j2 + m2
+    # log d^2 = log_binom + (j2+m2) log((1+u)/2) + (j2-m2) log((1-u)/2): one GEMM per chunk
+    powers = np.column_stack([_log_binom(j2.twice), a_pow, a_pow[::-1]])
+    cos_mu, sin_mu = np.cos(mus), np.sin(mus)
 
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, samples)  # cos(beta), the prior in disguise
     pick = rng.uniform(0.0, 1.0, samples)
     total = total_sq = 0.0  # running sums of the utility and its square
-    chunk = max(1, _MC_CHUNK_ELEMENTS // (j2.twice + 1))
+    chunk = min(samples, max(1, _MC_CHUNK_ELEMENTS // (j2.twice + 1)))
+    # buffers every chunk reuses: rows [1, log((1+u)/2), log((1-u)/2)], d^2, cumulative p_o
+    logs, dsq = np.ones((3, chunk)), np.empty((j2.twice + 1, chunk))
+    cum = np.empty((len(mus), chunk))
     for lo in range(0, samples, chunk):
         uc = u[lo:lo + chunk]
-        with np.errstate(divide="ignore"):
-            log_c2 = np.log(np.maximum((1.0 + uc) / 2.0, 1e-300))
-            log_s2 = np.log(np.maximum((1.0 - uc) / 2.0, 1e-300))
-        dsq = np.exp(log_binom + a_pow * log_c2[None, :] + b_pow * log_s2[None, :])
-        cum = np.cumsum(np.clip(coef @ dsq, 0.0, None), axis=0)  # (outcomes, chunk)
-        draw = pick[lo:lo + chunk] * cum[-1]
-        mu_sel = mus[(draw[None, :] > cum).sum(axis=0).clip(max=len(mus) - 1)]
+        lg, dq, cm = logs[:, :uc.size], dsq[:, :uc.size], cum[:, :uc.size]
+        np.maximum((1.0 + uc) / 2.0, 1e-300, out=lg[1])
+        np.maximum((1.0 - uc) / 2.0, 1e-300, out=lg[2])
+        np.log(lg[1:], out=lg[1:])
+        np.exp(np.matmul(powers, lg, out=dq), out=dq)
+        np.maximum(np.matmul(coef, dq, out=cm), 0.0, out=cm)
+        for o in range(1, len(mus)):  # row by row: cumsum along a short axis is slow
+            cm[o] += cm[o - 1]
+        draw = pick[lo:lo + chunk] * cm[-1]
+        idx = np.zeros(uc.size, dtype=np.intp)
+        for o in range(len(mus) - 1):  # the draw never passes the last row's total
+            idx += draw > cm[o]
         sin_b = np.sqrt(np.maximum(1.0 - uc * uc, 0.0))
-        utils = 0.5 * (1.0 + np.cos(mu_sel) * uc + np.sin(mu_sel) * sin_b)
+        utils = 0.5 * (1.0 + cos_mu[idx] * uc + sin_mu[idx] * sin_b)
         total += float(utils.sum())
         total_sq += float(utils @ utils)
     est = total / samples

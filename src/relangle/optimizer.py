@@ -23,6 +23,7 @@ from .su2 import DomainError, HalfInt, half
 from .estimator import (
     BlockPovm,
     PovmSpec,
+    StructureMismatchError,
     TrigBlock,
     TrigBlocks,
     _geometry,
@@ -98,8 +99,11 @@ def _block_optimum(J: HalfInt, blk: TrigBlock) -> tuple[BlockPovm, float]:
 
 def optimal_block(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[BlockPovm, float]:
     """Optimal measurement on block J of the signal and its fidelity contribution."""
-    J = half(J)
-    return _block_optimum(J, signal_trig_blocks(state, half(j2)).blocks[J])
+    J, blocks = half(J), signal_trig_blocks(state, half(j2)).blocks
+    if J not in blocks:
+        raise StructureMismatchError(f"J={J} is not a block of the signal; its blocks are "
+                                     f"{', '.join(str(K) for K in blocks)}")
+    return _block_optimum(J, blocks[J])
 
 
 def _certificate(trig: TrigBlocks, povm: PovmSpec, grid: int) -> float:

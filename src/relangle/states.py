@@ -42,6 +42,12 @@ def check_samples(samples) -> None:
         raise DomainError(f"samples = {samples!r} must be an int of at least 1")
 
 
+def check_seed(seed) -> None:
+    """Raise DomainError unless seed is an int of at least 0, so a run can be repeated."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed = {seed!r} must be an int of at least 0")
+
+
 def check_beta(beta: float) -> None:
     """Raise DomainError unless beta is a finite angle in [0, pi]."""
     if not math.isfinite(beta):
@@ -267,6 +273,7 @@ def averaged_state_oracle(state: GenericState, j2: HalfInt, beta: float,
     """
     j2 = half(j2)
     check_samples(samples)
+    check_seed(seed)
     check_beta(beta)
     w = _highest_weight_vector(j2, beta)
     dim = (j2.twice + 1) * sum(j1.twice + 1 for j1 in state.j_labels)

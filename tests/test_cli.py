@@ -151,6 +151,18 @@ class TestMonteCarlo:
         z = float(out.split("z=")[1])
         assert abs(z) < 4.0
 
+    def test_one_sample_rejected(self, capsys):
+        # one sample has no standard error, so there is no z to report
+        assert main(["montecarlo", "--j2", "1/2", "--samples", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "samples" in captured.err
+        assert captured.out == ""
+
+    def test_two_samples_report_z(self, capsys):
+        assert main(["montecarlo", "--j2", "1/2", "--samples", "2", "--seed", "1"]) == 0
+        fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+        assert float(fields["stderr"]) > 0.0 and math.isfinite(float(fields["z"]))
+
     def test_deterministic(self, capsys):
         args = ["montecarlo", "--j2", "1/2", "--state", "parallel",
                 "--samples", "2000", "--seed", "3"]

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from relangle.su2 import DomainError, half, m_range
-from relangle.states import GenericState, averaged_state
+import relangle.estimator as estimator_module
+from relangle.su2 import DomainError, _log_binom, half, m_range
+from relangle.states import GenericState, _cg_table, averaged_state
 from relangle.estimator import (
     BlockPovm,
     PovmSpec,
@@ -236,9 +237,19 @@ class TestMalformedBlock:
 THREE_TERM = GenericState.from_dict(0, {0: 0.5, 1: 0.5, 2: math.sqrt(0.5)})
 
 
+def three_term_povm(block):
+    """THREE_TERM's blind POVM at j2 = 1 with the J = 1 block replaced."""
+    return with_block(blind_povm(block_dims(THREE_TERM, 1)), 1, block)
+
+
+def three_outcome_block():
+    """Three rank-one projectors on the 3-dim J = 1 block, estimates 0.2, 1.5, 2.9."""
+    q, _ = np.linalg.qr(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]))
+    return BlockPovm([0.2, 1.5, 2.9], [np.outer(v, v) for v in q.T])
+
+
 class TestThreeDimBlock:
-    def povm(self, block):
-        return with_block(blind_povm(block_dims(THREE_TERM, 1)), 1, block)
+    povm = staticmethod(three_term_povm)
 
     def test_non_psd_element_rejected(self):
         # the corners of diag(0.5, -0.5, 0.5) form a PSD 2x2 matrix
@@ -248,10 +259,7 @@ class TestThreeDimBlock:
             fidelity(THREE_TERM, 1, povm)
 
     def test_three_outcome_povm_accepted(self):
-        q, _ = np.linalg.qr(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]))
-        mus = [0.2, 1.5, 2.9]
-        projectors = [np.outer(v, v) for v in q.T]
-        povm = self.povm(BlockPovm(mus, projectors))
+        povm = self.povm(three_outcome_block())
         f = fidelity(THREE_TERM, 1, povm)
         expected = sum(float(np.trace(a_operator(THREE_TERM, 1, mu).block(J) @ e))
                        for J, block in povm.per_block.items()
@@ -279,7 +287,80 @@ class TestFidelity:
             fidelity(GenericState.parallel(), "1/2", povm)
 
 
+def montecarlo_reference(state, j2, povm, samples, seed):
+    """fidelity_montecarlo as it was before its chunks became two matrix products.
+
+    The reference the GEMM form must match to rounding: the same draws in the
+    same order, chunks of 2**18 // (2j2+1) samples, log d^2 as one broadcast
+    sum, and a cumsum over the outcome axis.
+    """
+    j2 = half(j2)
+    table = _cg_table(state.m1, state.j_labels, j2)
+    mus, coef_rows = [], []
+    for J, (basis, cols) in table.items():
+        amps = np.array([state.amplitude(j1) for j1 in basis])
+        for mu, element in zip(povm.per_block[J].mus, povm.per_block[J].elements):
+            weight = (np.outer(amps, amps) * element.T)[:, :, None]
+            mus.append(mu)
+            coef_rows.append((weight * cols[:, None, :] * cols[None, :, :]).sum(axis=(0, 1)))
+    mus, coef = np.array(mus), np.array(coef_rows)
+    log_binom = _log_binom(j2.twice)[:, None]
+    a_pow = np.arange(j2.twice + 1, dtype=float)[:, None]
+    b_pow = a_pow[::-1]
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, samples)
+    pick = rng.uniform(0.0, 1.0, samples)
+    total = total_sq = 0.0
+    chunk = max(1, 2 ** 18 // (j2.twice + 1))
+    for lo in range(0, samples, chunk):
+        uc = u[lo:lo + chunk]
+        with np.errstate(divide="ignore"):
+            log_c2 = np.log(np.maximum((1.0 + uc) / 2.0, 1e-300))
+            log_s2 = np.log(np.maximum((1.0 - uc) / 2.0, 1e-300))
+        dsq = np.exp(log_binom + a_pow * log_c2[None, :] + b_pow * log_s2[None, :])
+        cum = np.cumsum(np.clip(coef @ dsq, 0.0, None), axis=0)
+        draw = pick[lo:lo + chunk] * cum[-1]
+        mu_sel = mus[(draw[None, :] > cum).sum(axis=0).clip(max=len(mus) - 1)]
+        sin_b = np.sqrt(np.maximum(1.0 - uc * uc, 0.0))
+        utils = 0.5 * (1.0 + np.cos(mu_sel) * uc + np.sin(mu_sel) * sin_b)
+        total += float(utils.sum())
+        total_sq += float(utils @ utils)
+    est = total / samples
+    var = max(total_sq - samples * est * est, 0.0) / (samples - 1) if samples > 1 else 0.0
+    return est, math.sqrt(var / samples)
+
+
+def chunk_samples(j2):
+    """Samples per fidelity_montecarlo chunk at j2."""
+    return max(1, estimator_module._MC_CHUNK_ELEMENTS // (half(j2).twice + 1))
+
+
+REFERENCE_STATES = {
+    "two_term": GenericState.two_term(0.609),
+    "parallel": GenericState.parallel(),
+    "m1_half": GenericState.from_dict("1/2", {"1/2": 0.6, "3/2": 0.8}),
+    "m1_one": GenericState.from_dict(1, {1: math.cos(0.4), 2: math.sin(0.4)}),
+}
+
+
 class TestFidelityMonteCarlo:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_STATES))
+    @pytest.mark.parametrize("j2", ["1/2", "10", "100"])
+    def test_matches_reference(self, name, j2):
+        state = REFERENCE_STATES[name]
+        povm = max_fidelity(state, j2, certify=False).povm
+        for samples in (1, 3 * chunk_samples(j2) + 1):
+            est, err = fidelity_montecarlo(state, j2, povm, samples, seed=7)
+            want_est, want_err = montecarlo_reference(state, j2, povm, samples, seed=7)
+            assert abs(est - want_est) <= 1e-14 and abs(err - want_err) <= 1e-15
+
+    def test_matches_reference_three_outcomes(self):
+        povm = three_term_povm(three_outcome_block())
+        for samples in (1, 3 * chunk_samples(1) + 1):
+            est, err = fidelity_montecarlo(THREE_TERM, 1, povm, samples, seed=4)
+            want_est, want_err = montecarlo_reference(THREE_TERM, 1, povm, samples, seed=4)
+            assert abs(est - want_est) <= 1e-14 and abs(err - want_err) <= 1e-15
+
     def test_deterministic(self):
         state = GenericState.antiparallel()
         povm = max_fidelity(state, "1/2", certify=False).povm
@@ -318,6 +399,19 @@ class TestFidelityMonteCarlo:
         with pytest.raises(DomainError):
             fidelity_montecarlo(state, "1/2", povm, samples=samples, seed=0)
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3"])
+    def test_rejects_bad_seed(self, seed):
+        state = GenericState.parallel()
+        povm = max_fidelity(state, "1/2", certify=False).povm
+        with pytest.raises(DomainError, match="seed"):
+            fidelity_montecarlo(state, "1/2", povm, samples=10, seed=seed)
+
+    def test_numpy_int_seed_accepted(self):
+        state = GenericState.parallel()
+        povm = max_fidelity(state, "1/2", certify=False).povm
+        assert (fidelity_montecarlo(state, "1/2", povm, samples=10, seed=np.int64(3))
+                == fidelity_montecarlo(state, "1/2", povm, samples=10, seed=3))
+
     def test_peak_memory_bounded_at_large_j2(self):
         # one 201 x 60000 float array alone would take about 100 MB
         state = GenericState.two_term(0.609)
@@ -330,6 +424,19 @@ class TestFidelityMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+    def test_peak_memory_bounded_at_small_j2(self):
+        # the two per-sample uniforms take 3.2 MB; each chunk's temporaries come on top
+        state = GenericState.two_term(0.609)
+        povm = max_fidelity(state, "1/2", certify=False).povm
+        fidelity_montecarlo(state, "1/2", povm, samples=10, seed=0)  # warm the caches
+        tracemalloc.start()
+        try:
+            fidelity_montecarlo(state, "1/2", povm, samples=200000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_peak_memory_bounded_in_samples(self):
         # the two per-sample uniforms take 16 MB; ten per-sample arrays would take 80 MB
@@ -345,10 +452,10 @@ class TestFidelityMonteCarlo:
         assert peak < 25e6
 
     def test_several_chunks(self):
-        # 2**18 // 21 = 12483 samples per chunk at j2 = 10
+        # three whole chunks of samples at j2 = 10 and one more
         state = GenericState.antiparallel()
         result = max_fidelity(state, 10, certify=False)
-        samples = 3 * (2 ** 18 // 21) + 1
+        samples = 3 * chunk_samples(10) + 1
         r1 = fidelity_montecarlo(state, 10, result.povm, samples=samples, seed=5)
         r2 = fidelity_montecarlo(state, 10, result.povm, samples=samples, seed=5)
         assert r1 == r2

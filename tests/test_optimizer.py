@@ -9,6 +9,7 @@ from relangle.states import GenericState
 from relangle.estimator import (
     BlockPovm,
     PovmSpec,
+    StructureMismatchError,
     TrigBlock,
     _lambda_min,
     block_dims,
@@ -83,6 +84,10 @@ def random_povm(dims, rng):
 
 
 class TestSingleEstimate:
+    def test_missing_block_named(self):
+        with pytest.raises(StructureMismatchError, match=r"J=7/2 .*blocks are 1/2, 3/2"):
+            optimal_block(GenericState.two_term(0.6), "1/2", "7/2")
+
     def test_higher_block_peak_at_half_pi(self):
         single, _ = optimal_block(GenericState.two_term(0.6), "1/2", "3/2")
         assert single.mus.shape == (1,)

@@ -208,6 +208,11 @@ class TestOracle:
         with pytest.raises(DomainError):
             averaged_state_oracle(GenericState.antiparallel(), "1/2", 0.7, samples=samples, seed=0)
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            averaged_state_oracle(GenericState.antiparallel(), "1/2", 0.7, samples=10, seed=seed)
+
     @pytest.mark.parametrize("beta", BAD_BETAS)
     def test_rejects_bad_beta(self, beta):
         state = GenericState.antiparallel()
