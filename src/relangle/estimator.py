@@ -8,7 +8,7 @@ Beta-function values in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -86,15 +86,32 @@ class TrigBlock:
     def at(self, mu: float) -> np.ndarray:
         return self.k0 + math.sin(mu) * self.k1 + math.cos(mu) * self.k2
 
-    def trace_coeffs(self) -> tuple[float, float, float]:
-        return (float(np.trace(self.k0)), float(np.trace(self.k1)), float(np.trace(self.k2)))
+
+# per block dimension d: the places of its blocks in J order and their (3, n, d, d) k0, k1, k2
+DimStacks = dict[int, tuple[tuple[int, ...], np.ndarray]]
+
+
+def _groups(keys) -> dict:
+    """The places of each distinct key, in the order the keys first appear."""
+    out: dict = {}
+    for place, key in enumerate(keys):
+        out.setdefault(key, []).append(place)
+    return out
 
 
 @dataclass
 class TrigBlocks:
-    """Direct sum of trigonometric-in-mu operator families A(mu)."""
+    """Direct sum of trigonometric-in-mu operator families A(mu).
+
+    ``stacks`` is set by ``signal_trig_blocks``: the coefficients grouped by
+    block dimension, and the views into them that its blocks hold.  ``by_dim``
+    returns them only while every block still holds those same arrays, and
+    stacks the blocks anew otherwise, so a replaced block is always seen.
+    """
 
     blocks: dict[HalfInt, TrigBlock]
+    stacks: tuple[DimStacks, list] | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def at(self, mu: float) -> BlockedOperator:
         out = BlockedOperator()
@@ -102,26 +119,68 @@ class TrigBlocks:
             out.blocks[J] = (blk.basis, blk.at(mu))
         return out
 
+    def by_dim(self) -> DimStacks:
+        """The coefficient stacks per block dimension; a block whose k0, k1 or k2 is not
+        (dim, dim) raises StructureMismatchError naming it."""
+        blocks = list(self.blocks.values())
+        if self.stacks is not None:
+            stacks, views = self.stacks
+            if len(views) == len(blocks) and all(
+                    blk.basis is basis and blk.k0 is k0 and blk.k1 is k1 and blk.k2 is k2
+                    for blk, (basis, k0, k1, k2) in zip(blocks, views)):
+                return stacks
+        for J, blk in self.blocks.items():
+            shapes = [np.shape(k) for k in (blk.k0, blk.k1, blk.k2)]
+            if any(shape != (blk.dim, blk.dim) for shape in shapes):
+                raise StructureMismatchError(f"block J={J} of dimension {blk.dim} has "
+                                             f"coefficients of shapes {shapes}")
+        return {d: (tuple(places), np.array([[blocks[p].k0, blocks[p].k1, blocks[p].k2]
+                                             for p in places]).swapaxes(0, 1))
+                for d, places in _groups(blk.dim for blk in blocks).items()}
+
 
 @lru_cache(maxsize=None)
 def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
-    """Amplitude-independent CG/moment contractions per (J, j1, j1') entry."""
+    """Amplitude-independent CG/moment contractions of every block, grouped by dimension.
+
+    Returns the basis of each J in J order and, per block dimension d, the
+    places of its blocks in that order, their (n, d) label positions in js
+    and their (3, n, d, d) P, Q, R contractions.
+    """
     moments = [moment_integrals(j2, m2) for m2 in m_range(j2)]
     weights = np.array([(t.P, t.Q, t.R) for t in moments]).T  # rows P, Q, R over m2
-    return {J: (basis, *_cg_contract(cols, weights))
-            for J, (basis, cols) in _cg_table(m1, js, j2).items()}
+    table = _cg_table(m1, js, j2)
+    bases = {J: basis for J, (basis, _) in table.items()}
+    block_bases, columns = zip(*table.values())
+    stacks = {}
+    for d, places in _groups(map(len, block_bases)).items():
+        idx = np.array([[js.index(j1) for j1 in block_bases[p]] for p in places])
+        coeffs = np.stack([_cg_contract(columns[p], weights) for p in places], axis=1)
+        for arr in (idx, coeffs):
+            arr.flags.writeable = False  # cached: shared by every caller
+        stacks[d] = (tuple(places), idx, coeffs)
+    return bases, stacks
 
 
 def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:
-    """A(mu) coefficient blocks for the rotation-averaged signal state."""
+    """A(mu) coefficient blocks for the rotation-averaged signal state.
+
+    Each block dimension is one outer product of the amplitudes and one
+    multiply with the cached geometry; the blocks are views into the result.
+    """
     j2 = half(j2)
-    geo = _geometry(state.m1, state.j_labels, j2)
-    blocks = {}
-    for J, (basis, g0, g1, g2) in geo.items():
-        amps = np.array([state.amplitude(j1) for j1 in basis])
-        outer = np.outer(amps, amps)
-        blocks[J] = TrigBlock(basis, outer * g0, outer * g1, outer * g2)
-    return TrigBlocks(blocks)
+    bases, geo = _geometry(state.m1, state.j_labels, j2)
+    amps = state.amplitude_vector
+    block_bases, stacks, views = list(bases.values()), {}, [None] * len(bases)
+    for d, (places, idx, coeffs) in geo.items():
+        x = amps[idx]
+        stack = (x[:, :, None] * x[:, None, :]) * coeffs
+        stacks[d] = (places, stack)
+        for p, place in enumerate(places):
+            views[place] = (block_bases[place], stack[0, p], stack[1, p], stack[2, p])
+    trig = TrigBlocks({J: TrigBlock(*view) for J, view in zip(bases, views)})
+    trig.stacks = stacks, views
+    return trig
 
 
 def a_operator(state: GenericState, j2: HalfInt, mu: float) -> BlockedOperator:
@@ -136,9 +195,10 @@ def _lambda_min(a, b, c):
     return (a + c) / 2.0 - np.hypot((a - c) / 2.0, b)
 
 
-def _sym_entries(m: np.ndarray) -> tuple[float, float, float]:
-    """(a, b, c) of a 1- or 2-dim block, off-diagonal from the lower triangle as eigvalsh reads it."""
-    return m[0, 0], m[-1, 0] if len(m) == 2 else 0.0, m[-1, -1]
+def _sym_entries(m: np.ndarray):
+    """(a, b, c) of each trailing 1- or 2-dim block, off-diagonal from the lower triangle as
+    eigvalsh reads it."""
+    return m[..., 0, 0], m[..., -1, 0] if m.shape[-1] == 2 else 0.0, m[..., -1, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -168,28 +228,47 @@ class PovmSpec:
         return list(zip(self.per_block[J].mus, self.per_block[J].elements))
 
     def validate(self, dims: dict[HalfInt, int]) -> None:
-        """Check shapes, finiteness, per-block completeness and positive semidefiniteness."""
+        """Check shapes, finiteness, per-block completeness and positive semidefiniteness.
+
+        Blocks of one outcome count and dimension are checked together, in
+        one array pass.  If anything fails, the blocks are checked one by one
+        in J order, so that the error names the first failing block and the
+        first check it fails.
+        """
         if set(self.per_block) != set(dims):
             raise StructureMismatchError("POVM blocks do not match the coupling structure")
+        blocks = [self.per_block[J] for J in dims]
+        shapes = [block.elements.shape for block in blocks]
+        if (all(block.mus.ndim == 1 and shape == (len(block.mus), dim, dim)
+                for block, shape, dim in zip(blocks, shapes, dims.values()))
+                and not any(_failed_check([blocks[p] for p in places])
+                            for places in _groups(shapes).values())):
+            return
         for J, dim in dims.items():
             mus, els = self.per_block[J].mus, self.per_block[J].elements
             if mus.ndim != 1 or els.shape != (len(mus), dim, dim):
                 raise StructureMismatchError(f"block J={J} of dimension {dim} has estimates "
                                              f"of shape {mus.shape}, elements {els.shape}")
-            gap = els.sum(axis=0)
-            gap.flat[::dim + 1] -= 1.0
-            gap = np.abs(gap).max()  # not finite unless every element entry is
-            if not (math.isfinite(gap) and np.isfinite(mus).all()):
-                raise DomainError(f"block J={J} has a non-finite estimate or element entry")
-            if gap > _PSD_TOL:
-                raise StructureMismatchError(f"block J={J} elements do not sum to identity")
-            if len(mus) == 1:
-                continue  # a lone element equal to the identity is PSD
-            sym = (els + els.transpose(0, 2, 1)) / 2.0
-            # .T stacks each (a, b, c) entry over the outcomes
-            low = _lambda_min(*_sym_entries(sym.T)) if dim <= 2 else np.linalg.eigvalsh(sym)
-            if low.min() < -_PSD_TOL:
-                raise StructureMismatchError(f"element on block J={J} not PSD")
+            failed = _failed_check([self.per_block[J]])
+            if failed:
+                error, message = failed
+                raise error(message.format(J=J))
+
+
+def _failed_check(blocks: list[BlockPovm]) -> tuple[type, str] | None:
+    """The error and message of the first check that some of these same-shape blocks fail."""
+    mus = np.array([block.mus for block in blocks])
+    els = np.array([block.elements for block in blocks])
+    if not (np.isfinite(mus).all() and np.isfinite(els).all()):
+        return DomainError, "block J={J} has a non-finite estimate or element entry"
+    if np.abs(els.sum(axis=1) - np.eye(els.shape[-1])).max() > _PSD_TOL:
+        return StructureMismatchError, "block J={J} elements do not sum to identity"
+    if els.shape[1] > 1:  # a lone element equal to the identity is PSD
+        sym = (els + els.swapaxes(2, 3)) / 2.0
+        low = _lambda_min(*_sym_entries(sym)) if els.shape[-1] <= 2 else np.linalg.eigvalsh(sym)
+        if low.min() < -_PSD_TOL:
+            return StructureMismatchError, "element on block J={J} not PSD"
+    return None
 
 
 def block_dims(state: GenericState, j2: HalfInt) -> dict[HalfInt, int]:

@@ -8,25 +8,30 @@ nu = atan2(tr k1, ||k2||_1); a 1-dim block is the same formula with a single
 outcome.  No eigensolver is needed for the value, so the preparation search
 values whole amplitude grids in one array pass.  Optimality of a reported POVM
 is certified by scanning the minimum eigenvalue of Upsilon - A_mu over a dense
-mu grid; every block is 1x1 or 2x2, so that eigenvalue has the closed form
-(a + c)/2 - hypot((a - c)/2, b), and one (blocks x grid) array pass replaces
-any eigensolver.
+mu grid; every block is 1x1 or 2x2, so that eigenvalue is the entry itself
+for a 1-dim block and (a + c)/2 - hypot((a - c)/2, b) for a 2-dim one, and
+no eigensolver is needed.  The solve and the certificate both work on the
+blocks of one dimension at a time, as one (blocks, d, d) stack: one array
+pass per dimension, with one batched eigh for the 2-dim eigenbases, gives
+the same floats as a pass per block.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .su2 import DomainError, HalfInt, half
 from .estimator import (
     BlockPovm,
+    DimStacks,
     PovmSpec,
     StructureMismatchError,
-    TrigBlock,
     TrigBlocks,
     _geometry,
+    _groups,
     _lambda_min,
     _sym_entries,
     signal_trig_blocks,
@@ -60,10 +65,24 @@ class OptimizationResult:
                 and self.certificate_min_eigenvalue >= CERTIFICATE_PASS)
 
 
-def _check_block(J: HalfInt, dim: int) -> None:
-    if dim > 2:
-        raise UnsupportedBlockError(
-            f"block J={J} has dimension {dim}; only dimensions <= 2 are solved")
+def _check_dims(trig: TrigBlocks, stacks: DimStacks) -> None:
+    big = [(places[0], d) for d, (places, _) in stacks.items() if d > 2]
+    if big:
+        place, d = min(big)
+        raise UnsupportedBlockError(f"block J={list(trig.blocks)[place]} has dimension {d}; "
+                                    "only dimensions <= 2 are solved")
+
+
+def _check_coefficients(trig: TrigBlocks, stacks: DimStacks) -> None:
+    """Refuse a non-finite or an asymmetric k0, k1 or k2, naming the first such J in J order."""
+    checks = ((DomainError, "a non-finite", np.isfinite),
+              (StructureMismatchError, "an asymmetric", lambda s: s == s.swapaxes(2, 3)))
+    for error, what, passes in checks:
+        bad = [(places, stack) for places, stack in stacks.values() if not passes(stack).all()]
+        if bad:
+            place = min(places[np.argmin(passes(stack).all(axis=(0, 2, 3)))]
+                        for places, stack in bad)
+            raise error(f"block J={list(trig.blocks)[place]} has {what} k0, k1 or k2 coefficient")
 
 
 def _check_grid(grid) -> None:
@@ -78,50 +97,100 @@ def _block_value(t0, t1, a, b=0.0, c=0.0):
     return t0 + np.hypot(t1, norm), np.arctan2(t1, norm)
 
 
-def _block_optimum(J: HalfInt, blk: TrigBlock) -> tuple[BlockPovm, float]:
-    """Best measurement for one block and the block's fidelity contribution.
+def _solve(trig: TrigBlocks) -> tuple[dict[HalfInt, BlockPovm], dict[HalfInt, float]]:
+    """Best measurement and fidelity contribution of every block, one array pass per dimension.
 
     The pair objective tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1 peaks at
     nu = atan2(tr k1, ||k2||_1); the k2 eigenvectors with positive eigenvalue
     take nu, the rest pi - nu.  Clamping tr k1 at 0 gives the endpoint optimum.
-    A 1-dim block has the single outcome nu or pi - nu.
+    A 1-dim block has the single outcome nu or pi - nu.  A block of dimension
+    above 2 raises UnsupportedBlockError, a non-finite coefficient DomainError
+    and an asymmetric one StructureMismatchError, each naming the first such J.
     """
-    _check_block(J, blk.dim)
-    contrib, nu = map(float, _block_value(np.trace(blk.k0), np.trace(blk.k1),
-                                          *blk.k2[_UPPER[blk.dim]]))
-    if blk.dim == 1:
-        return BlockPovm([nu if blk.k2[0, 0] > 0.0 else math.pi - nu], _IDENTITY_1), contrib
-    lam, vecs = np.linalg.eigh(blk.k2)
-    pos = vecs[:, lam > 0.0]
-    proj_nu = pos @ pos.T
-    return BlockPovm([nu, math.pi - nu], [proj_nu, np.eye(2) - proj_nu]), contrib
+    stacks = trig.by_dim()
+    _check_dims(trig, stacks)
+    _check_coefficients(trig, stacks)
+    povms, values = [None] * len(trig.blocks), [0.0] * len(trig.blocks)
+    for d, (places, (k0, k1, k2)) in stacks.items():
+        contrib, nu = _block_value(k0.trace(axis1=1, axis2=2), k1.trace(axis1=1, axis2=2),
+                                   *(k2[:, i, k] for i, k in zip(*_UPPER[d])))
+        if d == 1:
+            mus = np.where(k2[:, 0, 0] > 0.0, nu, math.pi - nu)[:, None]
+            elements = [_IDENTITY_1] * len(places)
+        else:
+            # a batched eigh makes the LAPACK call that eigh on each block alone would
+            lam, vecs = np.linalg.eigh(k2)
+            pos = vecs * (lam > 0.0)[:, None, :]
+            proj_nu = pos @ pos.swapaxes(1, 2)
+            mus = np.array([nu, math.pi - nu]).T
+            elements = np.array([proj_nu, np.eye(2) - proj_nu]).swapaxes(0, 1)
+        for place, m, e, value in zip(places, mus, elements, contrib.tolist()):
+            povms[place], values[place] = BlockPovm(m, e), value
+    return dict(zip(trig.blocks, povms)), dict(zip(trig.blocks, values))
 
 
 def optimal_block(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[BlockPovm, float]:
     """Optimal measurement on block J of the signal and its fidelity contribution."""
-    J, blocks = half(J), signal_trig_blocks(state, half(j2)).blocks
-    if J not in blocks:
+    J, trig = half(J), signal_trig_blocks(state, half(j2))
+    if J not in trig.blocks:
         raise StructureMismatchError(f"J={J} is not a block of the signal; its blocks are "
-                                     f"{', '.join(str(K) for K in blocks)}")
-    return _block_optimum(J, blocks[J])
+                                     f"{', '.join(str(K) for K in trig.blocks)}")
+    povms, values = _solve(trig)
+    return povms[J], values[J]
+
+
+@lru_cache(maxsize=8)
+def _mu_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of linspace(0, pi, grid), read-only and built once per grid size."""
+    mu = np.linspace(0.0, math.pi, grid)
+    out = np.sin(mu), np.cos(mu)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _outcome_sum(stack: np.ndarray, specs: list[BlockPovm]) -> np.ndarray:
+    """Upsilon = sum_i A(mu_i) E_i of blocks with one outcome count, with one matmul.
+
+    The outcomes are then added in order, starting from 0, as a sum over one
+    block adds them, so every entry is the same float.
+    """
+    count = len(specs[0].mus)
+    mus = [mu for spec in specs for mu in spec.mus.tolist()]
+    sin_mu, cos_mu = np.array([[math.sin(mu) for mu in mus],
+                               [math.cos(mu) for mu in mus]]).reshape(2, len(specs), count, 1, 1)
+    k0, k1, k2 = stack[:, :, None]
+    terms = (k0 + sin_mu * k1 + cos_mu * k2) @ np.array([spec.elements for spec in specs])
+    return sum(terms[:, i] for i in range(count))
+
+
+def _upsilon(stack: np.ndarray, specs: list[BlockPovm]) -> np.ndarray:
+    """Symmetrised Upsilon of each block of one dimension, one _outcome_sum per outcome count."""
+    upsilon = np.empty(stack.shape[1:])
+    for ps in _groups(len(spec.mus) for spec in specs).values():
+        upsilon[ps] = _outcome_sum(stack[:, ps], [specs[p] for p in ps])
+    return (upsilon + upsilon.swapaxes(1, 2)) / 2.0
 
 
 def _certificate(trig: TrigBlocks, povm: PovmSpec, grid: int) -> float:
-    """Minimum eigenvalue of Upsilon - A_mu over all blocks and a mu grid, in one array pass."""
-    entries = []  # (a, b, c) of Upsilon - k0, k1 and k2 per block
-    for J, blk in trig.blocks.items():
-        _check_block(J, blk.dim)
-        spec = povm.per_block[J]
-        upsilon = sum(blk.at(mu) @ element for mu, element in zip(spec.mus, spec.elements))
-        upsilon = (upsilon + upsilon.T) / 2.0
-        entries.append([_sym_entries(m) for m in (upsilon - blk.k0, blk.k1, blk.k2)])
-    gap, k1, k2 = np.array(entries).transpose(1, 2, 0)[..., None]  # each (3, blocks, 1)
-    mu = np.linspace(0.0, math.pi, grid)
-    sin_mu, cos_mu = np.sin(mu), np.cos(mu)
-    # one (blocks, grid) array per entry: a (3, blocks, grid) temporary is large enough that
-    # malloc can map fresh pages for it on every call.  A plain .min(): a NaN anywhere makes
-    # the certificate NaN, which never passes
-    return float(_lambda_min(*(g - sin_mu * x - cos_mu * y for g, x, y in zip(gap, k1, k2))).min())
+    """Minimum eigenvalue of Upsilon - A_mu over all blocks and a mu grid, a pass per dimension."""
+    stacks = trig.by_dim()
+    _check_dims(trig, stacks)
+    Js = list(trig.blocks)
+    sin_mu, cos_mu = _mu_grid(grid)
+    lows = []
+    for d, (places, stack) in stacks.items():
+        gap = _upsilon(stack, [povm.per_block[Js[place]] for place in places]) - stack[0]
+        if d == 1:  # lambda_min of [x] is x
+            low = gap[:, 0] - sin_mu * stack[1, :, 0] - cos_mu * stack[2, :, 0]
+        else:
+            # one (blocks, grid) array per entry, as small as a per-block scan keeps them
+            entries = zip(*(_sym_entries(m) for m in (gap, stack[1], stack[2])))
+            low = _lambda_min(*(g[:, None] - sin_mu * x[:, None] - cos_mu * y[:, None]
+                                for g, x, y in entries))
+        lows.append(low.min())
+    # np.min, not min: a NaN anywhere makes the certificate NaN, which never passes
+    return float(np.min(lows))
 
 
 def helstrom_certificate(state: GenericState, j2: HalfInt, povm: PovmSpec,
@@ -136,10 +205,7 @@ def optimize_trig_blocks(trig: TrigBlocks, certify: bool = True,
                          grid: int = CERTIFICATE_GRID) -> OptimizationResult:
     """Per-block optimization of any trig-coefficient operator family."""
     _check_grid(grid)
-    per_block = {}
-    contributions = {}
-    for J, blk in trig.blocks.items():
-        per_block[J], contributions[J] = _block_optimum(J, blk)
+    per_block, contributions = _solve(trig)
     povm = PovmSpec(per_block)
     cert = _certificate(trig, povm, grid) if certify else None
     return OptimizationResult(
@@ -172,13 +238,26 @@ def two_term_nu(a: float) -> float:
 
 def _fidelities(m1: HalfInt, labels: tuple[HalfInt, ...], j2: HalfInt,
                 rows: np.ndarray) -> np.ndarray:
-    """max_fidelity(...).fidelity for each (n, len(labels)) amplitude row at once."""
+    """max_fidelity(...).fidelity for each (n, len(labels)) amplitude row at once.
+
+    One array pass per block dimension; the block values are then added in
+    J order, as max_fidelity adds them.
+    """
+    bases, stacks = _geometry(m1, labels, j2)
+    values = [None] * len(bases)
+    for d, (places, idx, (g0, g1, g2)) in stacks.items():
+        x = rows[:, idx].transpose(1, 0, 2)  # (blocks, n, d)
+        sq = x * x
+        # one (n, d) @ (d,) product per block, on a matrix laid out as rows[:, labels] lays
+        # out one block's: BLAS results can depend on the layout
+        t0, t1 = ((sq @ g.diagonal(axis1=1, axis2=2)[:, :, None])[..., 0] for g in (g0, g1))
+        # k2's upper-triangle (a, b, c) per block and row; (a,) for a 1-dim block
+        entries = [x[..., i] * x[..., k] * g2[:, i, k, None] for i, k in zip(*_UPPER[d])]
+        for place, value in zip(places, _block_value(t0, t1, *entries)[0]):
+            values[place] = value
     total = np.zeros(len(rows))
-    for basis, g0, g1, g2 in _geometry(m1, labels, j2).values():
-        x = rows[:, [labels.index(j1) for j1 in basis]]
-        i, k = _UPPER[len(basis)]
-        total += _block_value((x * x) @ g0.diagonal(), (x * x) @ g1.diagonal(),
-                              *(x[:, i] * x[:, k] * g2[i, k]).T)[0]
+    for value in values:
+        total += value
     return total
 
 

@@ -179,6 +179,32 @@ class TestPovmSpec:
             bad.validate(dims)
 
 
+    def test_first_failing_block_in_j_order_is_named(self):
+        # J = 1/2 (2-dim) comes before J = 3/2 (1-dim); each check is made on both shapes
+        state = GenericState.two_term(0.6)
+        dims = block_dims(state, "1/2")
+        incomplete = BlockPovm([0.3, 2.8], [np.diag([1.0, 0.0]), np.diag([0.0, 0.5])])
+        nan_single = BlockPovm([math.nan], [[[1.0]]])
+        nan_pair = BlockPovm([0.3, math.nan], incomplete.elements)
+        bad_shape = BlockPovm([0.1], [np.eye(2)])
+        for first, second, error, match in [
+            (incomplete, nan_single, StructureMismatchError, "J=1/2 elements do not sum"),
+            (nan_pair, bad_shape, DomainError, "J=1/2 has a non-finite"),
+            (blind_povm(dims).per_block[half("1/2")], bad_shape,
+             StructureMismatchError, "J=3/2 of dimension 1"),
+        ]:
+            povm = PovmSpec({half("1/2"): first, half("3/2"): second})
+            with pytest.raises(error, match=match):
+                povm.validate(dims)
+
+    def test_infinite_entries_of_both_signs(self):
+        state = GenericState.two_term(0.6)
+        dims = block_dims(state, "1/2")
+        inf = BlockPovm([0.3, 2.8], [np.diag([math.inf, 0.0]), np.diag([-math.inf, 1.0])])
+        with pytest.raises(DomainError, match="J=1/2 has a non-finite"):
+            with_block(blind_povm(dims), "1/2", inf).validate(dims)
+
+
 class TestBlockPovm:
     def test_lists_become_float_arrays(self):
         block = BlockPovm([1], [[[1]]])

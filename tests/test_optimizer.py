@@ -1,30 +1,32 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from relangle.su2 import DomainError, HalfInt, half
-from relangle.states import GenericState
+from relangle.su2 import DomainError, HalfInt, half, m_range
+from relangle.states import GenericState, _cg_contract, _cg_table
 from relangle.estimator import (
     BlockPovm,
     PovmSpec,
     StructureMismatchError,
     TrigBlock,
+    TrigBlocks,
     _lambda_min,
     block_dims,
     fidelity,
     fidelity_montecarlo,
+    moment_integrals,
     signal_trig_blocks,
 )
 import relangle.optimizer as optimizer_module
-from relangle.limits import default_sweep_grid
+from relangle.limits import classical_trig_blocks, default_sweep_grid
 from relangle.optimizer import (
     CERTIFICATE_GRID_MIN,
     CERTIFICATE_PASS,
     UnsupportedBlockError,
     _amplitude_grid,
-    _block_optimum,
     _certificate,
     _fidelities,
     helstrom_certificate,
@@ -100,7 +102,7 @@ class TestSingleEstimate:
         for J, blk in trig.blocks.items():
             single, val = optimal_block(state, "1/2", J)
             (mu_star,) = single.mus
-            t0, t1, t2 = blk.trace_coeffs()
+            t0, t1, t2 = (float(np.trace(k)) for k in (blk.k0, blk.k1, blk.k2))
             f = lambda m: t0 + t1 * np.sin(m) + t2 * np.cos(m)  # a float or the whole grid
             grid = np.linspace(0.0, math.pi, 100001)
             k = int(np.argmax(f(grid)))
@@ -145,20 +147,26 @@ NEGATIVE_K1_BLOCKS = [
 ]
 
 
+def solve_alone(blk, J=half(0)):
+    """optimize_trig_blocks on a family of the one block: its BlockPovm and contribution."""
+    result = optimize_trig_blocks(TrigBlocks({J: blk}), certify=False)
+    return result.povm.per_block[J], result.per_block_contributions[J]
+
+
 class TestBlockOptimum:
     """The closed form against a dense scan of the (nu, pi - nu) pair objective."""
 
     @pytest.mark.parametrize("state,j2", SIGNAL_CASES)
     def test_signal_blocks_match_dense_scan(self, state, j2):
         for J, blk in signal_trig_blocks(state, half(j2)).blocks.items():
-            estimate, contrib = _block_optimum(J, blk)
+            estimate, contrib = optimal_block(state, j2, J)
             ref = dense_pair_reference(blk)
             assert ref - 1e-13 <= contrib <= ref + 1e-10
             assert povm_value(blk, estimate) == pytest.approx(contrib, abs=1e-13)
 
     @pytest.mark.parametrize("blk", NEGATIVE_K1_BLOCKS)
     def test_negative_trace_k1_takes_endpoint(self, blk):
-        estimate, contrib = _block_optimum(half(0), blk)
+        estimate, contrib = solve_alone(blk)
         ref = dense_pair_reference(blk)
         assert contrib == pytest.approx(ref, abs=1e-15)
         assert povm_value(blk, estimate) == pytest.approx(contrib, abs=1e-15)
@@ -428,12 +436,44 @@ def eigen_fidelity(state, j2):
     """Sum of block values with ||k2||_1 from eigvalsh, independent of the optimizer."""
     total = 0.0
     for blk in signal_trig_blocks(state, half(j2)).blocks.values():
-        t0, t1, _ = blk.trace_coeffs()
+        t0, t1 = float(np.trace(blk.k0)), float(np.trace(blk.k1))
         total += t0 + math.hypot(max(t1, 0.0), np.abs(np.linalg.eigvalsh(blk.k2)).sum())
     return total
 
 
+def reference_fidelities(m1, labels, j2, rows):
+    """The amplitude-grid valuation one block after another, in J order."""
+    moments = [moment_integrals(j2, m2) for m2 in m_range(j2)]
+    weights = np.array([(t.P, t.Q, t.R) for t in moments]).T
+    total = np.zeros(len(rows))
+    for basis, cols in _cg_table(m1, labels, j2).values():
+        g0, g1, g2 = _cg_contract(cols, weights)
+        x = rows[:, [labels.index(j1) for j1 in basis]]
+        i, k = np.triu_indices(len(basis))
+        total += optimizer_module._block_value((x * x) @ g0.diagonal(), (x * x) @ g1.diagonal(),
+                                               *(x[:, i] * x[:, k] * g2[i, k]).T)[0]
+    return total
+
+
 class TestBatchedFidelities:
+    @pytest.mark.parametrize("m1, labels", [
+        ("0", ("0", "1")), ("0", ("1", "3")), ("1/2", ("1/2", "3/2")), ("1", ("1", "2")),
+        ("0", ("0", "1", "2")),
+    ])
+    def test_matches_the_per_block_valuation_exactly(self, m1, labels):
+        rng = np.random.default_rng(11)
+        a = np.linspace(0.0, 1.0, 1001)
+        labels = tuple(half(j) for j in labels)
+        for j2 in ("1/2", "2", "15", "75"):
+            if len(labels) == 3 and j2 != "1/2":
+                continue  # larger j2 give this state a 3-dim block
+            rows = rng.normal(size=(300, len(labels)))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            if len(labels) == 2:
+                rows = np.concatenate([rows, np.stack([a, np.sqrt(1.0 - a * a)], axis=1)])
+            got = _fidelities(half(m1), labels, half(j2), rows)
+            assert np.array_equal(got, reference_fidelities(half(m1), labels, half(j2), rows))
+
     @pytest.mark.parametrize("j2", ["1/2", "3/2", "7", "50", "100"])
     def test_two_term_grid_matches_per_state_solve(self, j2):
         a = np.linspace(0.0, 1.0, 101)
@@ -551,3 +591,245 @@ class TestAmplitudeGrid:
         assert np.count_nonzero(grid == 1.0) == 1
         assert np.all(np.diff(grid) > 0.0)
         assert np.diff(grid).max() <= step * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one array pass per block dimension against the per-block code it replaced
+
+def reference_block_optimum(blk):
+    """The per-block solver: (mus, elements, contribution) of one block, one eigh per block."""
+    contrib, nu = map(float, optimizer_module._block_value(
+        np.trace(blk.k0), np.trace(blk.k1), *blk.k2[np.triu_indices(blk.dim)]))
+    if blk.dim == 1:
+        return np.array([nu if blk.k2[0, 0] > 0.0 else math.pi - nu]), np.ones((1, 1, 1)), contrib
+    lam, vecs = np.linalg.eigh(blk.k2)
+    pos = vecs[:, lam > 0.0]
+    proj_nu = pos @ pos.T
+    return np.array([nu, math.pi - nu]), np.array([proj_nu, np.eye(2) - proj_nu]), contrib
+
+
+def reference_sym_entries(m):
+    return m[0, 0], m[-1, 0] if len(m) == 2 else 0.0, m[-1, -1]
+
+
+def reference_certificate(trig, povm, grid=1001):
+    """The per-block certificate: Upsilon block by block, then one (blocks, grid) scan."""
+    entries = []
+    for J, blk in trig.blocks.items():
+        spec = povm.per_block[J]
+        upsilon = sum(blk.at(mu) @ element for mu, element in zip(spec.mus, spec.elements))
+        upsilon = (upsilon + upsilon.T) / 2.0
+        entries.append([reference_sym_entries(m) for m in (upsilon - blk.k0, blk.k1, blk.k2)])
+    gap, k1, k2 = np.array(entries).transpose(1, 2, 0)[..., None]
+    mu = np.linspace(0.0, math.pi, grid)
+    sin_mu, cos_mu = np.sin(mu), np.cos(mu)
+    return float(_lambda_min(*(g - sin_mu * x - cos_mu * y for g, x, y in zip(gap, k1, k2))).min())
+
+
+def assert_matches_per_block(trig):
+    """optimize_trig_blocks gives the per-block floats exactly, certificate included."""
+    result = optimize_trig_blocks(trig)
+    assert list(result.povm.per_block) == list(trig.blocks)
+    assert list(result.per_block_contributions) == list(trig.blocks)
+    for J, blk in trig.blocks.items():
+        mus, elements, contrib = reference_block_optimum(blk)
+        block = result.povm.per_block[J]
+        assert result.per_block_contributions[J] == contrib
+        assert np.array_equal(block.mus, mus)
+        assert np.array_equal(block.elements, elements)
+    assert result.fidelity == float(sum(result.per_block_contributions.values()))
+    assert result.certificate_min_eigenvalue == reference_certificate(trig, result.povm)
+    return result
+
+
+M1_CASES = [
+    (GenericState.from_dict("1/2", {"1/2": math.cos(1.1), "5/2": math.sin(1.1)}), j2)
+    for j2 in ("1/2", "3", "25", "100")
+] + [
+    (GenericState.from_dict(1, {1: math.cos(0.4), 2: math.sin(0.4)}), j2)
+    for j2 in ("1/2", 1, 2, 5, 100)
+]
+
+
+def trine(theta=0.3):
+    """Three real rank-one elements (2/3)|v_i><v_i| at angles theta + i pi/3, summing to I."""
+    vs = [np.array([math.cos(theta + i * math.pi / 3), math.sin(theta + i * math.pi / 3)])
+          for i in range(3)]
+    return np.array([2.0 / 3.0 * np.outer(v, v) for v in vs])
+
+
+class TestPerDimensionPass:
+    @pytest.mark.parametrize("state,j2", SIGNAL_CASES + M1_CASES)
+    def test_signal_blocks(self, state, j2):
+        assert_matches_per_block(signal_trig_blocks(state, half(j2)))
+
+    @pytest.mark.parametrize("blk", NEGATIVE_K1_BLOCKS)
+    def test_negative_trace_k1_blocks(self, blk):
+        assert_matches_per_block(TrigBlocks({half(0): blk}))
+
+    def test_mixed_dimensions_built_by_hand(self):
+        # the three NEGATIVE_K1_BLOCKS as one family: two 1-dim blocks around a 2-dim one
+        order = [NEGATIVE_K1_BLOCKS[0], NEGATIVE_K1_BLOCKS[2], NEGATIVE_K1_BLOCKS[1]]
+        assert_matches_per_block(TrigBlocks({HalfInt(t): blk for t, blk in enumerate(order)}))
+
+    @pytest.mark.parametrize("state", [
+        GenericState.parallel(),
+        GenericState.two_term(0.5),
+        GenericState.from_dict(0, {1: 0.6, 3: 0.8}),
+        GenericState.from_dict(1, {1: math.cos(0.4), 2: math.sin(0.4)}),
+    ], ids=["parallel", "two_term", "m1=0 {1,3}", "m1=1"])
+    def test_classical_blocks(self, state):
+        assert_matches_per_block(classical_trig_blocks(state))
+
+    @pytest.mark.parametrize("state,j2", [
+        (THREE_TERM, "1/2"),  # 2-dim J = 1/2 and 3/2 blocks, a 1-dim J = 5/2 block
+        (GenericState.from_dict(0, {0: 0.6, 2: 0.0, 4: 0.8}), 1),  # 2-dim J = 1 and 3
+    ], ids=["three_term", "m1=0 {0,2,4}"])
+    def test_mixed_outcome_counts_in_one_dimension(self, state, j2):
+        trig = signal_trig_blocks(state, half(j2))
+        dims = block_dims(state, j2)
+        per_block = {}
+        for J, dim in dims.items():
+            if dim == 1:
+                per_block[J] = BlockPovm([0.7], [np.eye(1)])
+            elif 3 not in [len(b.mus) for b in per_block.values()]:  # the first 2-dim block
+                per_block[J] = BlockPovm([0.4, 1.3, 2.6], trine())
+            else:  # every later 2-dim block: the identity alone
+                per_block[J] = BlockPovm([1.1], [np.eye(2)])
+        povm = PovmSpec(per_block)
+        assert sorted({len(b.mus) for J, b in per_block.items() if dims[J] == 2}) == [1, 3]
+        cert = helstrom_certificate(state, j2, povm)
+        assert cert == _certificate(trig, povm, 1001) == reference_certificate(trig, povm)
+        assert cert < CERTIFICATE_PASS
+
+
+def one_block(k0, k1, k2, basis=(half(0),)):
+    return TrigBlock(basis, np.array(k0, dtype=float), np.array(k1, dtype=float),
+                     np.array(k2, dtype=float))
+
+
+GOOD_1 = one_block([[0.3]], [[0.1]], [[0.05]])
+GOOD_2 = NEGATIVE_K1_BLOCKS[2]
+PAIR = (half(0), half(1))
+
+
+class TestMalformedTrigBlocks:
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_non_finite_coefficient_raises(self, certify):
+        for bad in ([[math.nan]], [[math.inf]]):
+            trig = TrigBlocks({half(0): GOOD_1, half(1): one_block(bad, [[0.1]], [[0.2]])})
+            with pytest.raises(DomainError, match=r"J=1 .*non-finite"):
+                optimize_trig_blocks(trig, certify=certify)
+
+    @pytest.mark.parametrize("k0, k1, k2", [
+        (np.eye(2), [[0.1]], [[0.2]]),
+        ([[0.3]], [0.1], [[0.2]]),
+        ([[0.3]], [[0.1]], np.zeros((1, 2))),
+    ], ids=["k0_2x2", "k1_1d", "k2_1x2"])
+    def test_wrong_shape_names_the_block(self, k0, k1, k2):
+        trig = TrigBlocks({half(0): GOOD_1, half("1/2"): one_block(k0, k1, k2)})
+        with pytest.raises(StructureMismatchError, match="J=1/2 "):
+            optimize_trig_blocks(trig)
+
+    def test_asymmetric_k2_raises(self):
+        blk = one_block(GOOD_2.k0, GOOD_2.k1, [[0.2, 0.1], [0.3, 0.1]], PAIR)
+        with pytest.raises(StructureMismatchError, match=r"J=3 .*asymmetric"):
+            optimize_trig_blocks(TrigBlocks({half(2): GOOD_2, half(3): blk}), certify=False)
+
+    def test_first_bad_block_in_j_order_is_named(self):
+        nan_1 = one_block([[math.nan]], [[0.1]], [[0.2]])
+        nan_2 = one_block(GOOD_2.k0, GOOD_2.k1, np.full((2, 2), math.nan), PAIR)
+        # two bad blocks of one shape, and a bad block of the other dimension after them
+        trig = TrigBlocks({half(0): GOOD_1, half(1): nan_1, half(2): GOOD_2, half(3): nan_1})
+        with pytest.raises(DomainError, match="J=1 "):
+            optimize_trig_blocks(trig)
+        trig = TrigBlocks({half(0): GOOD_1, half(1): GOOD_2, half(2): nan_2, half(3): nan_1,
+                           half(4): nan_2})
+        with pytest.raises(DomainError, match="J=2 "):
+            optimize_trig_blocks(trig)
+
+    def test_validate_names_the_first_bad_block(self):
+        state = GenericState.from_dict(0, {2: 0.6, 3: 0.8})
+        povm = max_fidelity(state, 5, certify=False).povm
+        bad = BlockPovm([0.3, 2.8], [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])])
+        for J in ("6", "4"):  # the 2-dim J = 4 and 6 blocks
+            povm.per_block[half(J)] = bad
+        with pytest.raises(StructureMismatchError, match="J=4 .*not PSD"):
+            povm.validate(block_dims(state, 5))
+
+    def test_certificate_names_the_first_large_block(self):
+        # j2 = 2 couples j1 in {1, 2, 3} into the 3-dim J = 1, 2 and 3 blocks
+        state = GenericState.from_dict(1, {1: 0.6, 2: 0.0, 3: 0.8})
+        povm = PovmSpec({J: BlockPovm([1.0], [np.eye(dim)])
+                         for J, dim in block_dims(state, 2).items()})
+        with pytest.raises(UnsupportedBlockError, match="J=1 has dimension 3"):
+            helstrom_certificate(state, 2, povm)
+        with pytest.raises(UnsupportedBlockError, match="J=1 has dimension 3"):
+            max_fidelity(state, 2)
+
+
+class TestOnePassPerDimension:
+    def test_one_eigh_for_five_pair_blocks(self, monkeypatch):
+        state = GenericState.from_dict(0, {2: 0.6, 3: 0.8})
+        trig = signal_trig_blocks(state, half(5))
+        assert [blk.dim for blk in trig.blocks.values()].count(2) == 5
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        result = optimize_trig_blocks(trig)
+        assert len(calls) == 1
+        assert result.certified
+
+    def test_mu_grid_sines_taken_once(self, monkeypatch):
+        state = GenericState.two_term(0.609)
+        povm = max_fidelity(state, "1/2", certify=False).povm
+        optimizer_module._mu_grid.cache_clear()
+        grids = []
+        sin = np.sin
+
+        def recording(x, *args, **kwargs):
+            grids.append(np.size(x))
+            return sin(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", recording)
+        first = helstrom_certificate(state, "1/2", povm)
+        for _ in range(3):
+            assert helstrom_certificate(state, "1/2", povm) == first
+        assert grids.count(1001) == 1
+
+    def test_blocks_are_views_into_one_stack_per_dimension(self):
+        trig = signal_trig_blocks(GenericState.from_dict(0, {2: 0.6, 3: 0.8}), half(5))
+        blocks = list(trig.blocks.values())
+        for places, stack in trig.by_dim().values():
+            assert stack.shape[:2] == (3, len(places))
+            for p, place in enumerate(places):
+                blk = blocks[place]
+                for c, k in enumerate((blk.k0, blk.k1, blk.k2)):
+                    assert k.base is stack and np.shares_memory(k, stack[c, p])
+
+    def test_replaced_blocks_are_solved_anew(self):
+        old = GenericState.from_dict(0, {2: 0.6, 3: 0.8})
+        new = GenericState.from_dict(0, {2: 0.8, 3: 0.6})
+        new_blocks = signal_trig_blocks(new, half(5)).blocks
+        J = list(new_blocks)[1]
+        old_value = max_fidelity(old, 5).per_block_contributions[J]
+
+        def block_swapped(trig):
+            trig.blocks[J] = new_blocks[J]
+
+        def coefficients_swapped(trig):
+            blk = trig.blocks[J]
+            blk.k0, blk.k1, blk.k2 = new_blocks[J].k0, new_blocks[J].k1, new_blocks[J].k2
+
+        changes = [lambda trig: replace(trig, blocks=dict(new_blocks)),
+                   block_swapped, coefficients_swapped]
+        for change in changes:
+            trig = signal_trig_blocks(old, half(5))
+            trig = change(trig) or trig
+            result = assert_matches_per_block(trig)
+            assert result.per_block_contributions[J] != old_value
