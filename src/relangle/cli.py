@@ -17,16 +17,12 @@ import numpy as np
 
 from .su2 import DomainError, HalfInt, half
 from .states import GenericState, state_from_text
-from .estimator import fidelity_montecarlo, signal_trig_blocks
+from .estimator import fidelity_montecarlo
 from .optimizer import (
-    CERTIFICATE_GRID,
-    CERTIFICATE_GRID_MIN,
-    CERTIFICATE_PASS,
     UnsupportedBlockError,
     _amplitude_grid,
     max_fidelity,
     optimize_state,
-    optimize_trig_blocks,
 )
 from .limits import (
     asymptotic_deviation,
@@ -48,7 +44,6 @@ class RunConfig:
     command: str
     j2: HalfInt
     a_grid_step: float = 0.01
-    mu_grid: int = CERTIFICATE_GRID
     samples: int = 100000
     seed: int = 0
     state: str = "optimal"
@@ -57,8 +52,6 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.a_grid_step <= 0.5:
             raise ValueError(f"a_grid_step = {self.a_grid_step} outside (0, 0.5]")
-        if self.mu_grid < CERTIFICATE_GRID_MIN:
-            raise ValueError(f"mu_grid = {self.mu_grid} below the minimum of {CERTIFICATE_GRID_MIN}")
         if self.samples < 2:
             raise ValueError(f"samples = {self.samples} must be >= 2 for a standard error")
         if self.j2.twice < 1:
@@ -158,12 +151,11 @@ def _run_classical_limit(cfg: RunConfig) -> int:
 
 def _run_certify(cfg: RunConfig) -> int:
     state = _resolve_state(cfg.state, cfg.j2)
-    result = optimize_trig_blocks(signal_trig_blocks(state, cfg.j2), grid=cfg.mu_grid)
-    min_eig = result.certificate_min_eigenvalue
-    status = "pass" if min_eig >= CERTIFICATE_PASS else "fail"
+    result = max_fidelity(state, cfg.j2)
+    status = "pass" if result.certified else "fail"
     print(f"j2={cfg.j2} state={cfg.state} F={_fmt(result.fidelity)} "
-          f"certificate_min_eig={_fmt(min_eig)} [{status}]")
-    return 0 if status == "pass" else 1
+          f"certificate_min_eig={_fmt(result.certificate_min_eigenvalue)} [{status}]")
+    return 0 if result.certified else 1
 
 
 def _run_montecarlo(cfg: RunConfig) -> int:
@@ -222,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="optimality certificate for the reported POVM")
     common(p, state_default="parallel")
-    p.add_argument("--mu-grid", type=int, default=CERTIFICATE_GRID)
 
     p = sub.add_parser("montecarlo", help="simulate the protocol and compare to the exact fidelity")
     common(p)
@@ -234,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     # options a subcommand lacks keep RunConfig's defaults
-    extra = {k: v for k, v in vars(args).items() if k in ("a_grid_step", "mu_grid", "samples", "seed")}
+    extra = {k: v for k, v in vars(args).items() if k in ("a_grid_step", "samples", "seed")}
     return RunConfig(command=args.command, j2=HalfInt.parse(args.j2), state=args.state,
                      output_path=args.output, **extra)
 

@@ -351,5 +351,5 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
         total += float(utils.sum())
         total_sq += float(utils @ utils)
     est = total / samples
-    var = max(total_sq - samples * est * est, 0.0) / (samples - 1) if samples > 1 else 0.0
+    var = max(total_sq - samples * est * est, 0.0) / (samples - 1)
     return est, math.sqrt(var / samples)

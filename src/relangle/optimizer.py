@@ -7,10 +7,10 @@ tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1, largest at
 nu = atan2(tr k1, ||k2||_1); a 1-dim block is the same formula with a single
 outcome.  No eigensolver is needed for the value, so the preparation search
 values whole amplitude grids in one array pass.  Optimality of a reported POVM
-is certified by scanning the minimum eigenvalue of Upsilon - A_mu over a dense
-mu grid; every block is 1x1 or 2x2, so that eigenvalue is the entry itself
-for a 1-dim block and (a + c)/2 - hypot((a - c)/2, b) for a 2-dim one, and
-no eigensolver is needed.  The solve and the certificate both work on the
+is certified by scanning the minimum eigenvalue of Upsilon - A_mu over a fixed
+1001-point mu grid; every block is 1x1 or 2x2, so that eigenvalue is the entry
+itself for a 1-dim block and (a + c)/2 - hypot((a - c)/2, b) for a 2-dim one,
+and no eigensolver is needed.  The solve and the certificate both work on the
 blocks of one dimension at a time, as one (blocks, d, d) stack: one array
 pass per dimension, with one batched eigh for the 2-dim eigenbases, gives
 the same floats as a pass per block.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,9 +38,13 @@ from .estimator import (
 from .states import GenericState
 
 CERTIFICATE_GRID = 1001
-CERTIFICATE_GRID_MIN = 101
 CERTIFICATE_PASS = -1e-9
-# points per bracket-shrinking pass of optimize_state: each pass narrows 500x
+# sin and cos of the certificate's mu grid, linspace(0, pi, CERTIFICATE_GRID), read-only
+_SIN_MU, _COS_MU = (f(np.linspace(0.0, math.pi, CERTIFICATE_GRID)) for f in (np.sin, np.cos))
+_SIN_MU.flags.writeable = _COS_MU.flags.writeable = False
+# optimize_state: a coarse amplitude grid, then refinement passes that each narrow 500x
+_COARSE_STEP = 0.001
+_REFINE_PASSES = 2
 _REFINE_POINTS = 1001
 # (a, b, c) places of k2 in the solved 1- and 2-dim blocks, built once
 _UPPER = {1: np.triu_indices(1), 2: np.triu_indices(2)}
@@ -83,11 +86,6 @@ def _check_coefficients(trig: TrigBlocks, stacks: DimStacks) -> None:
             place = min(places[np.argmin(passes(stack).all(axis=(0, 2, 3)))]
                         for places, stack in bad)
             raise error(f"block J={list(trig.blocks)[place]} has {what} k0, k1 or k2 coefficient")
-
-
-def _check_grid(grid) -> None:
-    if not isinstance(grid, (int, np.integer)) or grid < CERTIFICATE_GRID_MIN:
-        raise DomainError(f"grid = {grid!r} must be an int of at least {CERTIFICATE_GRID_MIN}")
 
 
 def _block_value(t0, t1, a, b=0.0, c=0.0):
@@ -139,16 +137,6 @@ def optimal_block(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[BlockPo
     return povms[J], values[J]
 
 
-@lru_cache(maxsize=8)
-def _mu_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin and cos of linspace(0, pi, grid), read-only and built once per grid size."""
-    mu = np.linspace(0.0, math.pi, grid)
-    out = np.sin(mu), np.cos(mu)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 def _outcome_sum(stack: np.ndarray, specs: list[BlockPovm]) -> np.ndarray:
     """Upsilon = sum_i A(mu_i) E_i of blocks with one outcome count, with one matmul.
 
@@ -172,42 +160,37 @@ def _upsilon(stack: np.ndarray, specs: list[BlockPovm]) -> np.ndarray:
     return (upsilon + upsilon.swapaxes(1, 2)) / 2.0
 
 
-def _certificate(trig: TrigBlocks, povm: PovmSpec, grid: int) -> float:
-    """Minimum eigenvalue of Upsilon - A_mu over all blocks and a mu grid, a pass per dimension."""
+def _certificate(trig: TrigBlocks, povm: PovmSpec) -> float:
+    """Minimum eigenvalue of Upsilon - A_mu over all blocks and the mu grid, a pass per dimension."""
     stacks = trig.by_dim()
     _check_dims(trig, stacks)
     Js = list(trig.blocks)
-    sin_mu, cos_mu = _mu_grid(grid)
     lows = []
     for d, (places, stack) in stacks.items():
         gap = _upsilon(stack, [povm.per_block[Js[place]] for place in places]) - stack[0]
         if d == 1:  # lambda_min of [x] is x
-            low = gap[:, 0] - sin_mu * stack[1, :, 0] - cos_mu * stack[2, :, 0]
+            low = gap[:, 0] - _SIN_MU * stack[1, :, 0] - _COS_MU * stack[2, :, 0]
         else:
             # one (blocks, grid) array per entry, as small as a per-block scan keeps them
             entries = zip(*(_sym_entries(m) for m in (gap, stack[1], stack[2])))
-            low = _lambda_min(*(g[:, None] - sin_mu * x[:, None] - cos_mu * y[:, None]
+            low = _lambda_min(*(g[:, None] - _SIN_MU * x[:, None] - _COS_MU * y[:, None]
                                 for g, x, y in entries))
         lows.append(low.min())
     # np.min, not min: a NaN anywhere makes the certificate NaN, which never passes
     return float(np.min(lows))
 
 
-def helstrom_certificate(state: GenericState, j2: HalfInt, povm: PovmSpec,
-                         grid: int = CERTIFICATE_GRID) -> float:
-    _check_grid(grid)
+def helstrom_certificate(state: GenericState, j2: HalfInt, povm: PovmSpec) -> float:
     trig = signal_trig_blocks(state, half(j2))
     povm.validate({J: blk.dim for J, blk in trig.blocks.items()})
-    return _certificate(trig, povm, grid)
+    return _certificate(trig, povm)
 
 
-def optimize_trig_blocks(trig: TrigBlocks, certify: bool = True,
-                         grid: int = CERTIFICATE_GRID) -> OptimizationResult:
+def optimize_trig_blocks(trig: TrigBlocks, certify: bool = True) -> OptimizationResult:
     """Per-block optimization of any trig-coefficient operator family."""
-    _check_grid(grid)
     per_block, contributions = _solve(trig)
     povm = PovmSpec(per_block)
-    cert = _certificate(trig, povm, grid) if certify else None
+    cert = _certificate(trig, povm) if certify else None
     return OptimizationResult(
         povm=povm,
         fidelity=float(sum(contributions.values())),
@@ -266,36 +249,29 @@ def _amplitude_grid(step: float) -> np.ndarray:
     return np.append(np.arange(math.ceil(1.0 / step - 1e-9)) * step, 1.0)
 
 
-def optimize_state(j2: HalfInt, coarse_step: float = 0.001,
-                   tol: float = 1e-8) -> tuple[float, HalfInt, OptimizationResult]:
+def optimize_state(j2: HalfInt) -> tuple[float, HalfInt, OptimizationResult]:
     """Best preparation amplitude over the m1=0 two-term family vs the parallel state.
 
-    One array pass values a coarse grid over a in [0, 1] (endpoints included);
-    further passes shrink the bracket around the best point to at most tol,
-    keeping the best value seen.  Returns (a_star, winning m1 sector, result).
+    One array pass values the 0.001-step grid over a in [0, 1] (endpoints
+    included); two 1001-point passes then narrow the bracket around the best
+    point to at most 8e-9, keeping the best value seen.  Returns (a_star,
+    winning m1 sector, result).
     """
     j2 = half(j2)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
-    if not (math.isfinite(coarse_step) and 0.0 < coarse_step <= 0.5):
-        raise DomainError(f"coarse_step = {coarse_step!r} must lie in (0, 0.5]")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol = {tol!r} must be finite and positive")
     m1, labels = half(0), (half(0), half(1))
-    grid = _amplitude_grid(coarse_step)
-    a_star, f_star, width = 0.0, -math.inf, math.inf
-    while True:
+    grid = _amplitude_grid(_COARSE_STEP)
+    a_star, f_star = 0.0, -math.inf
+    for refine in range(_REFINE_PASSES + 1):
+        if refine:  # the neighbours of the last pass's best point
+            grid = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)],
+                               _REFINE_POINTS)
         rows = np.stack([grid, np.sqrt(np.maximum(0.0, 1.0 - grid * grid))], axis=1)
         vals = _fidelities(m1, labels, j2, rows)
         best = int(np.argmax(vals))
         if vals[best] > f_star:
             a_star, f_star = float(grid[best]), vals[best]
-        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
-        # a bracket that roundoff no longer shrinks ends the search as well
-        if hi - lo <= tol or hi - lo >= width:
-            break
-        width = hi - lo
-        grid = np.linspace(lo, hi, _REFINE_POINTS)
     result0 = max_fidelity(GenericState.two_term(a_star), j2)
 
     result1 = max_fidelity(GenericState.parallel(), j2)

@@ -37,9 +37,9 @@ _ORACLE_CHUNK_ELEMENTS = 2 ** 18
 
 
 def check_samples(samples) -> None:
-    """Raise DomainError unless samples is an int of at least 1."""
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise DomainError(f"samples = {samples!r} must be an int of at least 1")
+    """Raise DomainError unless samples is an int of at least 2, enough for a standard error."""
+    if not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise DomainError(f"samples = {samples!r} must be an int of at least 2")
 
 
 def check_seed(seed) -> None:
@@ -275,6 +275,8 @@ def averaged_state_oracle(state: GenericState, j2: HalfInt, beta: float,
     check_samples(samples)
     check_seed(seed)
     check_beta(beta)
+    if fixed_rotation is not None and not all(map(math.isfinite, fixed_rotation)):
+        raise DomainError(f"fixed_rotation = {fixed_rotation!r} has a non-finite angle")
     w = _highest_weight_vector(j2, beta)
     dim = (j2.twice + 1) * sum(j1.twice + 1 for j1 in state.j_labels)
     chunk = max(1, _ORACLE_CHUNK_ELEMENTS // (dim * dim))
@@ -354,9 +356,10 @@ def state_from_text(text: str) -> GenericState:
                 raise ValueError(f"repeated m1 line: {raw!r}")
             m1 = HalfInt.parse(line[3:])
         elif line.startswith("j1="):
-            jpart, apart = line.split()
-            if not apart.startswith("a="):
+            parts = line.split()
+            if len(parts) != 2 or not parts[1].startswith("a="):
                 raise ValueError(f"malformed amplitude line: {raw!r}")
+            jpart, apart = parts
             j1 = HalfInt.parse(jpart[3:])
             if j1 in amps:
                 raise ValueError(f"repeated j1={j1} line: {raw!r}")

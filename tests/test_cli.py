@@ -5,7 +5,6 @@ import pytest
 from relangle.cli import OUTPUT_DIR_ENV, RunConfig, main
 from relangle.limits import default_sweep_grid
 from relangle.optimizer import (
-    CERTIFICATE_GRID_MIN,
     helstrom_certificate,
     max_fidelity,
     two_term_nu,
@@ -22,19 +21,17 @@ def read_csv(path):
 
 
 class TestRunConfig:
-    def test_mu_grid_minimum_is_the_library_one(self):
-        RunConfig(command="certify", j2=half("1/2"), mu_grid=CERTIFICATE_GRID_MIN)
-        with pytest.raises(ValueError):
-            RunConfig(command="certify", j2=half("1/2"), mu_grid=CERTIFICATE_GRID_MIN - 1)
-        assert main(["certify", "--mu-grid", str(CERTIFICATE_GRID_MIN - 1)]) == 1
-
     def test_validates_grid_step(self):
         with pytest.raises(ValueError):
             RunConfig(command="fidelity-sweep", j2=half("1/2"), a_grid_step=0.6)
 
     def test_validates_mu_grid(self):
-        with pytest.raises(ValueError):
+        # the certificate's mu grid is fixed: neither RunConfig nor certify takes one
+        with pytest.raises(TypeError):
             RunConfig(command="certify", j2=half("1/2"), mu_grid=50)
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--mu-grid", "1001"])
+        assert exc.value.code == 2
 
     def test_validates_samples(self):
         with pytest.raises(ValueError):
@@ -123,8 +120,7 @@ class TestClassicalLimit:
 
 class TestCertify:
     def test_pass(self, capsys):
-        assert main(["certify", "--j2", "1/2", "--state", "parallel",
-                     "--mu-grid", "1001"]) == 0
+        assert main(["certify", "--j2", "1/2", "--state", "parallel"]) == 0
         assert "[pass]" in capsys.readouterr().out
 
     def test_state_file(self, tmp_path, capsys):
@@ -136,8 +132,8 @@ class TestCertify:
     def test_reports_the_library_certificate(self, capsys):
         state, j2 = GenericState.antiparallel(), half(2)
         result = max_fidelity(state, j2, certify=False)
-        min_eig = helstrom_certificate(state, j2, result.povm, grid=301)
-        assert main(["certify", "--j2", "2", "--state", "antiparallel", "--mu-grid", "301"]) == 0
+        min_eig = helstrom_certificate(state, j2, result.povm)
+        assert main(["certify", "--j2", "2", "--state", "antiparallel"]) == 0
         assert capsys.readouterr().out == (
             f"j2=2 state=antiparallel F={result.fidelity:.10g} "
             f"certificate_min_eig={min_eig:.10g} [pass]\n")

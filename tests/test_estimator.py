@@ -352,7 +352,7 @@ def montecarlo_reference(state, j2, povm, samples, seed):
         total += float(utils.sum())
         total_sq += float(utils @ utils)
     est = total / samples
-    var = max(total_sq - samples * est * est, 0.0) / (samples - 1) if samples > 1 else 0.0
+    var = max(total_sq - samples * est * est, 0.0) / (samples - 1)
     return est, math.sqrt(var / samples)
 
 
@@ -375,14 +375,14 @@ class TestFidelityMonteCarlo:
     def test_matches_reference(self, name, j2):
         state = REFERENCE_STATES[name]
         povm = max_fidelity(state, j2, certify=False).povm
-        for samples in (1, 3 * chunk_samples(j2) + 1):
+        for samples in (2, 3 * chunk_samples(j2) + 1):
             est, err = fidelity_montecarlo(state, j2, povm, samples, seed=7)
             want_est, want_err = montecarlo_reference(state, j2, povm, samples, seed=7)
             assert abs(est - want_est) <= 1e-14 and abs(err - want_err) <= 1e-15
 
     def test_matches_reference_three_outcomes(self):
         povm = three_term_povm(three_outcome_block())
-        for samples in (1, 3 * chunk_samples(1) + 1):
+        for samples in (2, 3 * chunk_samples(1) + 1):
             est, err = fidelity_montecarlo(THREE_TERM, 1, povm, samples, seed=4)
             want_est, want_err = montecarlo_reference(THREE_TERM, 1, povm, samples, seed=4)
             assert abs(est - want_est) <= 1e-14 and abs(err - want_err) <= 1e-15
@@ -415,8 +415,9 @@ class TestFidelityMonteCarlo:
     def test_rejects_zero_samples(self):
         state = GenericState.parallel()
         povm = max_fidelity(state, "1/2", certify=False).povm
-        with pytest.raises(DomainError):
-            fidelity_montecarlo(state, "1/2", povm, samples=0, seed=0)
+        for samples in (0, 1):  # one sample has no standard error
+            with pytest.raises(DomainError, match="samples"):
+                fidelity_montecarlo(state, "1/2", povm, samples=samples, seed=0)
 
     @pytest.mark.parametrize("samples", [2.5, 10.0, "10", None, -1])
     def test_rejects_non_int_samples(self, samples):

@@ -23,7 +23,6 @@ from relangle.estimator import (
 import relangle.optimizer as optimizer_module
 from relangle.limits import classical_trig_blocks, default_sweep_grid
 from relangle.optimizer import (
-    CERTIFICATE_GRID_MIN,
     CERTIFICATE_PASS,
     UnsupportedBlockError,
     _amplitude_grid,
@@ -316,7 +315,7 @@ class TestClosedFormCertificate:
     def test_matches_eigvalsh_scan(self, state, j2):
         trig = signal_trig_blocks(state, half(j2))
         povm = max_fidelity(state, j2, certify=False).povm
-        assert _certificate(trig, povm, 1001) == pytest.approx(
+        assert _certificate(trig, povm) == pytest.approx(
             scan_reference(trig, povm), abs=1e-14)
 
     def test_found_m1_state_still_fails(self):
@@ -344,7 +343,7 @@ class TestClosedFormCertificate:
         state = GenericState.two_term(0.6)
         povm = max_fidelity(state, "1/2", certify=False).povm
         povm.per_block[half("3/2")] = BlockPovm([math.nan], [[[1.0]]])
-        assert math.isnan(_certificate(signal_trig_blocks(state, half("1/2")), povm, 1001))
+        assert math.isnan(_certificate(signal_trig_blocks(state, half("1/2")), povm))
 
 
 def nan_pair(pair):
@@ -382,25 +381,20 @@ class TestNonFinitePovm:
 
 
 class TestCertificateGrid:
-    @pytest.mark.parametrize("grid", [0, 1, CERTIFICATE_GRID_MIN - 1, 101.0, 1001.5, "1001", None])
+    # the mu grid is fixed: no grid argument is taken, whatever its value
+    @pytest.mark.parametrize("grid", [0, 1, 100, 101.0, 1001.5, "1001", None])
     def test_rejects_bad_grid(self, grid, monkeypatch):
         state = GenericState.parallel()
         povm = max_fidelity(state, "1/2", certify=False).povm
         trig = signal_trig_blocks(state, half("1/2"))
 
         def refuse(*args):
-            raise AssertionError("certificate ran before the grid check")
+            raise AssertionError("certificate ran with a grid argument")
         monkeypatch.setattr(optimizer_module, "_certificate", refuse)
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             helstrom_certificate(state, "1/2", povm, grid=grid)
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             optimize_trig_blocks(trig, grid=grid)
-
-    def test_minimum_grid_accepted(self):
-        state = GenericState.parallel()
-        povm = max_fidelity(state, "1/2", certify=False).povm
-        for grid in (CERTIFICATE_GRID_MIN, np.int64(CERTIFICATE_GRID_MIN)):
-            assert helstrom_certificate(state, "1/2", povm, grid=grid) >= CERTIFICATE_PASS
 
 
 class TestOptimizeState:
@@ -500,22 +494,35 @@ class TestBatchedFidelities:
                 assert f == pytest.approx(eigen_fidelity(state, j2), abs=1e-14)
 
 
+def search_grids(monkeypatch, j2):
+    """The amplitude grids optimize_state(j2) values, in order, and its a_star."""
+    grids = []
+    evaluate = optimizer_module._fidelities
+
+    def recording(m1, labels, j2, rows):
+        grids.append(rows[:, 0].copy())
+        return evaluate(m1, labels, j2, rows)
+
+    monkeypatch.setattr(optimizer_module, "_fidelities", recording)
+    return grids, optimize_state(j2)[0]
+
+
 class TestSearchParameters:
+    # the search's step and tolerance are fixed: optimize_state takes neither
     @pytest.fixture(autouse=True)
     def no_search(self, monkeypatch):
-        # a parameter check placed after the search would fail here, not hang
         def refuse(*args):
-            raise AssertionError("search ran before the parameter check")
+            raise AssertionError("search ran with a step or tolerance argument")
         monkeypatch.setattr(optimizer_module, "_fidelities", refuse)
 
     @pytest.mark.parametrize("coarse_step", [0.0, -0.1, math.nan, math.inf, 0.6, 2.0])
     def test_rejects_bad_coarse_step(self, coarse_step):
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             optimize_state("1/2", coarse_step=coarse_step)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_rejects_bad_tol(self, tol):
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             optimize_state("1/2", tol=tol)
 
 
@@ -541,47 +548,22 @@ class TestBatchedSearch:
         assert len(calls) <= 2
         assert result.certified
 
-    def test_widest_coarse_step_still_converges(self):
-        a_star, _, _ = optimize_state("1/2", coarse_step=0.5)
-        assert abs(a_star - PINNED_OPTIMA["1/2"][0]) <= 1e-7
-
-    def test_tiny_tol_stops_when_the_bracket_stalls(self, monkeypatch):
-        # the bracket cannot shrink below the float spacing near a*; a search
-        # that kept going would fail on the pass count here instead of hanging
-        passes = []
-        evaluate = optimizer_module._fidelities
-
-        def counting(*args):
-            passes.append(1)
-            assert len(passes) <= 20, "bracket search did not stop"
-            return evaluate(*args)
-
-        monkeypatch.setattr(optimizer_module, "_fidelities", counting)
-        a_star, _, result = optimize_state("1/2", tol=1e-300)
-        assert abs(a_star - PINNED_OPTIMA["1/2"][0]) <= 1e-7
-        assert result.fidelity >= PINNED_OPTIMA["1/2"][1] - 1e-14
+    @pytest.mark.parametrize("j2", ["1/2", "7/2", "50", "100"])
+    def test_coarse_pass_then_two_refinements(self, j2, monkeypatch):
+        grids, a_star = search_grids(monkeypatch, j2)
+        assert [g.size for g in grids] == [1001, 1001, 1001]
+        # each refinement spans the neighbours of the previous pass's best point
+        for coarse, fine in zip(grids, grids[1:]):
+            assert fine[0] in coarse and fine[-1] in coarse
+        # the last pass's bracket, one point either side of its best, is at most 8e-9
+        assert 2.0 * np.diff(grids[-1]).max() <= 8e-9 * (1.0 + 1e-6)
+        assert grids[-1][0] <= a_star <= grids[-1][-1]
 
 
 class TestAmplitudeGrid:
-    def coarse_grid(self, monkeypatch, **kwargs):
-        grids = []
-        evaluate = optimizer_module._fidelities
-
-        def recording(m1, labels, j2, rows):
-            grids.append(rows[:, 0].copy())
-            return evaluate(m1, labels, j2, rows)
-
-        monkeypatch.setattr(optimizer_module, "_fidelities", recording)
-        optimize_state("1/2", **kwargs)
-        return grids[0]
-
-    def test_search_values_a_equal_one(self, monkeypatch):
-        grid = self.coarse_grid(monkeypatch, coarse_step=0.3)
-        assert grid.tolist() == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
-
     def test_default_grid_unchanged(self, monkeypatch):
         # the grid before a = 1 was always included, min(1, i * step) for i <= 1000
-        grid = self.coarse_grid(monkeypatch)
+        grid = search_grids(monkeypatch, "1/2")[0][0]
         assert np.array_equal(grid, np.minimum(1.0, np.arange(1001) * 0.001))
 
     @pytest.mark.parametrize("step", [0.001, 0.01, 0.07, 0.1, 0.25, 0.3, 1.0 / 3.0, 0.4, 0.5])
@@ -699,7 +681,7 @@ class TestPerDimensionPass:
         povm = PovmSpec(per_block)
         assert sorted({len(b.mus) for J, b in per_block.items() if dims[J] == 2}) == [1, 3]
         cert = helstrom_certificate(state, j2, povm)
-        assert cert == _certificate(trig, povm, 1001) == reference_certificate(trig, povm)
+        assert cert == _certificate(trig, povm) == reference_certificate(trig, povm)
         assert cert < CERTIFICATE_PASS
 
 
@@ -786,9 +768,9 @@ class TestOnePassPerDimension:
         assert result.certified
 
     def test_mu_grid_sines_taken_once(self, monkeypatch):
+        # once, at import: no certificate call takes sin of the 1001-point grid
         state = GenericState.two_term(0.609)
         povm = max_fidelity(state, "1/2", certify=False).povm
-        optimizer_module._mu_grid.cache_clear()
         grids = []
         sin = np.sin
 
@@ -800,7 +782,7 @@ class TestOnePassPerDimension:
         first = helstrom_certificate(state, "1/2", povm)
         for _ in range(3):
             assert helstrom_certificate(state, "1/2", povm) == first
-        assert grids.count(1001) == 1
+        assert grids.count(1001) == 0
 
     def test_blocks_are_views_into_one_stack_per_dimension(self):
         trig = signal_trig_blocks(GenericState.from_dict(0, {2: 0.6, 3: 0.8}), half(5))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -187,7 +188,7 @@ class TestOracle:
         u = np.kron(dense_rotation(state.j_labels, *rotation),
                     dense_rotation([half(j2)], *rotation))
         rho = signal_density(state, j2, beta)
-        mean, _ = averaged_state_oracle(state, j2, beta, samples=1, seed=0,
+        mean, _ = averaged_state_oracle(state, j2, beta, samples=2, seed=0,
                                         fixed_rotation=rotation)
         assert np.abs(mean - u @ rho @ u.conj().T).max() < 1e-12
 
@@ -203,7 +204,7 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < 20e6
 
-    @pytest.mark.parametrize("samples", [0, 10.5, 10.0, "10", None])
+    @pytest.mark.parametrize("samples", [0, 1, 10.5, 10.0, "10", None])
     def test_rejects_bad_samples(self, samples):
         with pytest.raises(DomainError):
             averaged_state_oracle(GenericState.antiparallel(), "1/2", 0.7, samples=samples, seed=0)
@@ -223,9 +224,16 @@ class TestOracle:
         with pytest.raises(DomainError):
             averaged_state(state, "1/2", beta)
 
+    @pytest.mark.parametrize("rotation", [(math.nan, 0.1, 0.2), (0.3, math.inf, 0.2),
+                                          (0.3, 0.1, -math.inf)])
+    def test_rejects_non_finite_fixed_rotation(self, rotation):
+        with pytest.raises(DomainError, match="fixed_rotation"):
+            averaged_state_oracle(GenericState.antiparallel(), "1/2", 0.7, samples=10, seed=0,
+                                  fixed_rotation=rotation)
+
     def test_identity_rotation_returns_unrotated_density(self):
         state = GenericState.antiparallel()
-        mean, stderr = averaged_state_oracle(state, "1/2", 0.7, samples=1, seed=0,
+        mean, stderr = averaged_state_oracle(state, "1/2", 0.7, samples=2, seed=0,
                                              fixed_rotation=(0.0, 0.0, 0.0))
         rho = signal_density(state, "1/2", 0.7)
         assert np.abs(mean - rho).max() < 1e-12
@@ -300,3 +308,6 @@ class TestSerialization:
             state_from_text("j1=0 a=1.0\n")  # missing m1
         with pytest.raises(ValueError):
             state_from_text("m1=0\nnonsense\n")
+        for line in ("j1=0", "j1=0 a=0.6 x"):
+            with pytest.raises(ValueError, match=re.escape(f"malformed amplitude line: {line!r}")):
+                state_from_text(f"m1=0\n{line}\n")
