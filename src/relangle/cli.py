@@ -21,6 +21,7 @@ from .estimator import fidelity_montecarlo
 from .optimizer import (
     UnsupportedBlockError,
     _amplitude_grid,
+    _search,
     max_fidelity,
     optimize_state,
 )
@@ -88,7 +89,7 @@ def _resolve_state(selector: str, j2: HalfInt) -> GenericState:
     if selector == "antiparallel":
         return GenericState.antiparallel()
     if selector == "optimal":
-        a_star, sector, _ = optimize_state(j2)
+        a_star, sector, _, _ = _search(j2)
         return GenericState.two_term(a_star) if sector == 0 else GenericState.parallel()
     with open(selector, encoding="utf-8") as fh:
         return state_from_text(fh.read())

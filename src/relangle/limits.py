@@ -18,7 +18,7 @@ from numpy.polynomial.legendre import leggauss
 from .su2 import DomainError, HalfInt, half, m_range, wigner_d_matrix
 from .states import BlockedOperator, GenericState, _cg_contract, _m_index, averaged_state, check_beta
 from .estimator import TrigBlock, TrigBlocks
-from .optimizer import OptimizationResult, optimize_trig_blocks, max_fidelity, optimize_state
+from .optimizer import OptimizationResult, _max_fidelity_value, _search, optimize_trig_blocks
 
 _QUAD_NODES = 200
 
@@ -106,13 +106,10 @@ def default_sweep_grid() -> list[HalfInt]:
 
 
 def sweep_optimal_vs_j2(j2_values: list[HalfInt]) -> list[SweepRow]:
-    """Optimal amplitude and the three fidelity curves over the given j2 grid."""
+    """Optimal amplitude and the three fidelity curves over the given j2 grid; no POVM is built."""
     rows = []
-    for j2 in j2_values:
-        j2 = half(j2)
-        a_star, _, result = optimize_state(j2)
-        f_par = max_fidelity(GenericState.parallel(), j2, certify=False).fidelity
-        f_anti = max_fidelity(GenericState.antiparallel(), j2, certify=False).fidelity
-        rows.append(SweepRow(j2=j2, a_star=a_star, f_opt=result.fidelity,
-                             f_parallel=f_par, f_antiparallel=f_anti))
+    for j2 in map(half, j2_values):
+        a_star, _, f_opt, f_par = _search(j2)
+        rows.append(SweepRow(j2, a_star, f_opt, f_par,
+                             _max_fidelity_value(GenericState.antiparallel(), j2)))
     return rows

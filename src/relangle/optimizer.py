@@ -95,23 +95,29 @@ def _block_value(t0, t1, a, b=0.0, c=0.0):
     return t0 + np.hypot(t1, norm), np.arctan2(t1, norm)
 
 
-def _solve(trig: TrigBlocks) -> tuple[dict[HalfInt, BlockPovm], dict[HalfInt, float]]:
-    """Best measurement and fidelity contribution of every block, one array pass per dimension.
-
-    The pair objective tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1 peaks at
-    nu = atan2(tr k1, ||k2||_1); the k2 eigenvectors with positive eigenvalue
-    take nu, the rest pi - nu.  Clamping tr k1 at 0 gives the endpoint optimum.
-    A 1-dim block has the single outcome nu or pi - nu.  A block of dimension
-    above 2 raises UnsupportedBlockError, a non-finite coefficient DomainError
-    and an asymmetric one StructureMismatchError, each naming the first such J.
-    """
+def _contributions(trig: TrigBlocks) -> tuple[list[float], list]:
+    """Each block's best value tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1 in J order, and
+    (d, places, k2, nu) per dimension.  A block of dimension above 2 raises
+    UnsupportedBlockError, a non-finite coefficient DomainError and an asymmetric one
+    StructureMismatchError, each naming the first such J."""
     stacks = trig.by_dim()
     _check_dims(trig, stacks)
     _check_coefficients(trig, stacks)
-    povms, values = [None] * len(trig.blocks), [0.0] * len(trig.blocks)
+    values, passes = np.zeros(len(trig.blocks)), []
     for d, (places, (k0, k1, k2)) in stacks.items():
         contrib, nu = _block_value(k0.trace(axis1=1, axis2=2), k1.trace(axis1=1, axis2=2),
                                    *(k2[:, i, k] for i, k in zip(*_UPPER[d])))
+        values[list(places)] = contrib
+        passes.append((d, places, k2, nu))
+    return values.tolist(), passes
+
+
+def _solve(trig: TrigBlocks) -> tuple[dict[HalfInt, BlockPovm], dict[HalfInt, float]]:
+    """Best measurement and contribution of every block: the k2 eigenvectors with positive
+    eigenvalue take nu, the rest pi - nu; a 1-dim block has the one outcome nu or pi - nu."""
+    values, passes = _contributions(trig)
+    povms = [None] * len(values)
+    for d, places, k2, nu in passes:
         if d == 1:
             mus = np.where(k2[:, 0, 0] > 0.0, nu, math.pi - nu)[:, None]
             elements = [_IDENTITY_1] * len(places)
@@ -122,8 +128,8 @@ def _solve(trig: TrigBlocks) -> tuple[dict[HalfInt, BlockPovm], dict[HalfInt, fl
             proj_nu = pos @ pos.swapaxes(1, 2)
             mus = np.array([nu, math.pi - nu]).T
             elements = np.array([proj_nu, np.eye(2) - proj_nu]).swapaxes(0, 1)
-        for place, m, e, value in zip(places, mus, elements, contrib.tolist()):
-            povms[place], values[place] = BlockPovm(m, e), value
+        for place, m, e in zip(places, mus, elements):
+            povms[place] = BlockPovm(m, e)
     return dict(zip(trig.blocks, povms)), dict(zip(trig.blocks, values))
 
 
@@ -204,6 +210,11 @@ def max_fidelity(state: GenericState, j2: HalfInt, certify: bool = True) -> Opti
     return optimize_trig_blocks(signal_trig_blocks(state, half(j2)), certify=certify)
 
 
+def _max_fidelity_value(state: GenericState, j2: HalfInt) -> float:
+    """max_fidelity(state, j2).fidelity, the same float, with no POVM or certificate built."""
+    return float(sum(_contributions(signal_trig_blocks(state, j2))[0]))
+
+
 def two_term_nu(a: float) -> float:
     """Closed-form optimal estimate angle for the j2=1/2 two-term preparation.
 
@@ -238,10 +249,7 @@ def _fidelities(m1: HalfInt, labels: tuple[HalfInt, ...], j2: HalfInt,
         entries = [x[..., i] * x[..., k] * g2[:, i, k, None] for i, k in zip(*_UPPER[d])]
         for place, value in zip(places, _block_value(t0, t1, *entries)[0]):
             values[place] = value
-    total = np.zeros(len(rows))
-    for value in values:
-        total += value
-    return total
+    return sum(values, np.zeros(len(rows)))
 
 
 def _amplitude_grid(step: float) -> np.ndarray:
@@ -249,14 +257,10 @@ def _amplitude_grid(step: float) -> np.ndarray:
     return np.append(np.arange(math.ceil(1.0 / step - 1e-9)) * step, 1.0)
 
 
-def optimize_state(j2: HalfInt) -> tuple[float, HalfInt, OptimizationResult]:
-    """Best preparation amplitude over the m1=0 two-term family vs the parallel state.
-
-    One array pass values the 0.001-step grid over a in [0, 1] (endpoints
-    included); two 1001-point passes then narrow the bracket around the best
-    point to at most 8e-9, keeping the best value seen.  Returns (a_star,
-    winning m1 sector, result).
-    """
+def _search(j2: HalfInt) -> tuple[float, HalfInt, float, float]:
+    """(a_star, winning m1 sector, its fidelity, the parallel state's fidelity) at j2: the
+    0.001-step grid over a in [0, 1], then two 1001-point passes that narrow the bracket around
+    the best point to at most 8e-9, keeping the best value seen; ties within 1e-9 go to m1 = 0."""
     j2 = half(j2)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
@@ -272,10 +276,16 @@ def optimize_state(j2: HalfInt) -> tuple[float, HalfInt, OptimizationResult]:
         best = int(np.argmax(vals))
         if vals[best] > f_star:
             a_star, f_star = float(grid[best]), vals[best]
-    result0 = max_fidelity(GenericState.two_term(a_star), j2)
+    f0 = _max_fidelity_value(GenericState.two_term(a_star), j2)
+    f_par = _max_fidelity_value(GenericState.parallel(), j2)
+    if f0 >= f_par - 1e-9:
+        return a_star, half(0), f0, f_par
+    return a_star, half(1), f_par, f_par
 
-    result1 = max_fidelity(GenericState.parallel(), j2)
-    # ties go to the m1=0 sector for deterministic output
-    if result0.fidelity >= result1.fidelity - 1e-9:
-        return a_star, half(0), result0
-    return a_star, half(1), result1
+
+def optimize_state(j2: HalfInt) -> tuple[float, HalfInt, OptimizationResult]:
+    """Best preparation amplitude over the m1=0 two-term family vs the parallel state:
+    (a_star, winning m1 sector, result), where only the winner is solved and certified."""
+    a_star, sector, _, _ = _search(j2)
+    state = GenericState.two_term(a_star) if sector == 0 else GenericState.parallel()
+    return a_star, sector, max_fidelity(state, j2)

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from relangle.cli import OUTPUT_DIR_ENV, RunConfig, main
+import relangle.optimizer as optimizer_module
+from relangle.cli import OUTPUT_DIR_ENV, RunConfig, _resolve_state, main
 from relangle.limits import default_sweep_grid
 from relangle.optimizer import (
     helstrom_certificate,
     max_fidelity,
+    optimize_state,
     two_term_nu,
 )
 from relangle.su2 import half
@@ -137,6 +139,18 @@ class TestCertify:
         assert capsys.readouterr().out == (
             f"j2=2 state=antiparallel F={result.fidelity:.10g} "
             f"certificate_min_eig={min_eig:.10g} [pass]\n")
+
+
+class TestResolveState:
+    @pytest.mark.parametrize("j2", ["1/2", "5", "100"])
+    def test_optimal_builds_no_certificate(self, j2, monkeypatch):
+        expected = GenericState.two_term(optimize_state(j2)[0])
+
+        def refuse(*args):
+            raise AssertionError("resolving the optimal state ran a certificate")
+
+        monkeypatch.setattr(optimizer_module, "_certificate", refuse)
+        assert _resolve_state("optimal", half(j2)) == expected
 
 
 class TestMonteCarlo:

@@ -14,7 +14,7 @@ from relangle.limits import (
     default_sweep_grid,
     sweep_optimal_vs_j2,
 )
-from relangle.optimizer import max_fidelity
+from relangle.optimizer import max_fidelity, optimize_state
 
 BLIND_GUESS = 0.5 + math.pi / 8.0
 
@@ -128,3 +128,14 @@ class TestSweep:
         for row in rows:
             assert row.f_opt >= row.f_parallel >= row.f_antiparallel
             assert row.f_parallel - row.f_antiparallel <= 1e-4
+
+    def test_rows_are_the_optimizer_floats(self):
+        grid = default_sweep_grid()
+        for j2, row in zip(grid, sweep_optimal_vs_j2(grid)):
+            a_star, _, result = optimize_state(j2)
+            assert row.a_star == a_star
+            assert row.f_opt == result.fidelity
+            assert row.f_parallel == max_fidelity(GenericState.parallel(), j2,
+                                                  certify=False).fidelity
+            assert row.f_antiparallel == max_fidelity(GenericState.antiparallel(), j2,
+                                                      certify=False).fidelity

@@ -21,7 +21,8 @@ from relangle.estimator import (
     signal_trig_blocks,
 )
 import relangle.optimizer as optimizer_module
-from relangle.limits import classical_trig_blocks, default_sweep_grid
+from relangle import limits
+from relangle.limits import classical_trig_blocks, default_sweep_grid, sweep_optimal_vs_j2
 from relangle.optimizer import (
     CERTIFICATE_PASS,
     UnsupportedBlockError,
@@ -425,6 +426,29 @@ class TestOptimizeState:
         assert sector == half(0)
         assert result.fidelity >= par.fidelity - 1e-9
 
+    @pytest.mark.parametrize("below, sector", [(2e-9, half(1)), (0.5e-9, half(0))],
+                             ids=["parallel-wins", "tie-goes-to-m1-zero"])
+    def test_tie_rule_picks_the_sector(self, below, sector, monkeypatch):
+        # the two-term value set just below F_par: beyond 1e-9 the parallel state wins
+        value = optimizer_module._max_fidelity_value
+
+        def lowered(state, j2):
+            if state.m1 == 0:
+                return value(GenericState.parallel(), j2) - below
+            return value(state, j2)
+
+        monkeypatch.setattr(optimizer_module, "_max_fidelity_value", lowered)
+        a_star, got, result = optimize_state("3/2")
+        assert got == sector
+        assert result.certified
+        (row,) = sweep_optimal_vs_j2(["3/2"])
+        assert row.a_star == a_star
+        if sector == half(1):
+            par = max_fidelity(GenericState.parallel(), "3/2")
+            assert result.fidelity == par.fidelity == row.f_opt == row.f_parallel
+            assert result.certificate_min_eigenvalue == par.certificate_min_eigenvalue
+            assert result.povm.per_block.keys() == par.povm.per_block.keys()
+
 
 def eigen_fidelity(state, j2):
     """Sum of block values with ||k2||_1 from eigvalsh, independent of the optimizer."""
@@ -535,7 +559,7 @@ class TestBatchedSearch:
         assert abs(a_star - a_ref) <= 1e-7
         assert abs(result.fidelity - f_ref) <= 1e-14
 
-    def test_two_block_solves_per_search(self, monkeypatch):
+    def test_one_certified_solve_per_search(self, monkeypatch):
         calls = []
         solve = optimizer_module.optimize_trig_blocks
 
@@ -545,8 +569,18 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(optimizer_module, "optimize_trig_blocks", counting)
         a_star, _, result = optimize_state("1/2")
-        assert len(calls) <= 2
+        assert calls == [True]
         assert result.certified
+
+    def test_sweep_row_solves_and_certifies_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep row solved or certified a preparation")
+
+        for module, name in ((optimizer_module, "optimize_trig_blocks"),
+                             (limits, "optimize_trig_blocks"), (optimizer_module, "_certificate")):
+            monkeypatch.setattr(module, name, refuse)
+        (row,) = sweep_optimal_vs_j2(["7/2"])
+        assert row.f_opt >= row.f_parallel
 
     @pytest.mark.parametrize("j2", ["1/2", "7/2", "50", "100"])
     def test_coarse_pass_then_two_refinements(self, j2, monkeypatch):
