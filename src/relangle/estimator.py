@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .su2 import DomainError, HalfInt, _log_binom, check_jm, half, m_range
+from .su2 import DomainError, HalfInt, _highest_weight_vector, check_jm, half, m_range
 from .states import (
     BlockedOperator,
     GenericState,
@@ -25,7 +25,7 @@ from .states import (
 )
 
 _PSD_TOL = 1e-12
-# squared-amplitude entries fidelity_montecarlo holds at once; 2**16 keeps its buffers in cache
+# Chebyshev-term entries fidelity_montecarlo holds at once; 2**16 keeps its buffers in cache
 _MC_CHUNK_ELEMENTS = 2 ** 16
 
 
@@ -287,59 +287,64 @@ def fidelity(state: GenericState, j2: HalfInt, povm: PovmSpec) -> float:
     return total
 
 
+def _outcome_series(state: GenericState, j2: HalfInt, povm: PovmSpec):
+    """Each outcome's estimate mu (k,) and Chebyshev coefficients (k, deg+1) of its p_o(cos beta).
+
+    p_o = sum_{m2} coef[o, m2] (d^{j2}_{m2 j2})^2 has degree at most deg = min(2 max j1, 2j2)
+    in u = cos(beta): after the twirl only the multipoles of rank L <= j1 + j1' carry beta
+    (Bartlett, Rudolph & Spekkens, RMP 79, 555 (2007)).  So its values at the deg+1 interior
+    Chebyshev nodes give the coefficients by discrete cosine orthogonality, with no solve.
+    """
+    mus, coef_rows = [], []
+    for J, (basis, cols) in _cg_table(state.m1, state.j_labels, j2).items():
+        amps = np.array([state.amplitude(j1) for j1 in basis])
+        for mu, element in zip(povm.per_block[J].mus, povm.per_block[J].elements):
+            weight = (np.outer(amps, amps) * element.T)[:, :, None]
+            mus.append(mu)
+            coef_rows.append((weight * cols[:, None, :] * cols[None, :, :]).sum(axis=(0, 1)))
+    n = min(max(j1.twice for j1 in state.j_labels), j2.twice) + 1
+    theta = (np.arange(n) + 0.5) * (math.pi / n)  # beta at the nodes u = cos(theta)
+    dsq = np.array([_highest_weight_vector(j2, beta) for beta in theta]).T ** 2
+    cosines = np.cos(np.outer(theta, np.arange(n))) * np.where(np.arange(n), 2.0 / n, 1.0 / n)
+    return np.array(mus), np.array(coef_rows) @ dsq @ cosines
+
+
 def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
                         samples: int, seed: int) -> tuple[float, float]:
     """Simulate the estimation protocol; unbiased (estimate, stderr) of the fidelity.
 
     Draws beta from the sin(beta)/2 prior, picks an outcome from the exact
     per-outcome probabilities, and averages the utility of the outcome's
-    estimate.  Deterministic for fixed (seed, samples).  Costs
-    O(samples * (2j2+1) * outcomes) time, mostly two matrix products per
-    chunk of max(1, 2**16 // (2j2+1)) samples: log d^2 from the log-cosines,
-    then the outcome probabilities from exp of it.  Their three buffers are
-    allocated once per call and stay cache-sized, so only the two per-sample
-    uniforms grow with samples.
+    estimate.  Deterministic for fixed (seed, samples).  Each probability is a
+    Chebyshev series of degree deg = min(2 max j1, 2j2) in cos(beta), so the
+    cost is O(samples * (deg+1) * outcomes) plus O((2j2+1) * deg) per call:
+    per chunk of max(1, 2**16 // (deg+1)) samples, the T_0..T_deg recurrence
+    and one matrix product, into two buffers allocated once per call.
     """
     j2 = half(j2)
     check_samples(samples)
     check_seed(seed)
     table = _cg_table(state.m1, state.j_labels, j2)
     povm.validate({J: len(basis) for J, (basis, _) in table.items()})
-
-    # probability of each outcome is linear in the squared rotated amplitudes:
-    # p_o(beta) = sum_{m2} coef[o, m2] * (d^{j2}_{m2 j2}(beta))^2
-    mus = []
-    coef_rows = []
-    for J, (basis, cols) in table.items():
-        amps = np.array([state.amplitude(j1) for j1 in basis])
-        for mu, element in zip(povm.per_block[J].mus, povm.per_block[J].elements):
-            weight = (np.outer(amps, amps) * element.T)[:, :, None]
-            mus.append(mu)
-            coef_rows.append((weight * cols[:, None, :] * cols[None, :, :]).sum(axis=(0, 1)))
-    mus = np.array(mus)
-    coef = np.array(coef_rows)
-
-    a_pow = np.arange(j2.twice + 1, dtype=float)  # j2 + m2
-    # log d^2 = log_binom + (j2+m2) log((1+u)/2) + (j2-m2) log((1-u)/2): one GEMM per chunk
-    powers = np.column_stack([_log_binom(j2.twice), a_pow, a_pow[::-1]])
+    mus, series = _outcome_series(state, j2, povm)
     cos_mu, sin_mu = np.cos(mus), np.sin(mus)
 
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, samples)  # cos(beta), the prior in disguise
     pick = rng.uniform(0.0, 1.0, samples)
     total = total_sq = 0.0  # running sums of the utility and its square
-    chunk = min(samples, max(1, _MC_CHUNK_ELEMENTS // (j2.twice + 1)))
-    # buffers every chunk reuses: rows [1, log((1+u)/2), log((1-u)/2)], d^2, cumulative p_o
-    logs, dsq = np.ones((3, chunk)), np.empty((j2.twice + 1, chunk))
-    cum = np.empty((len(mus), chunk))
+    chunk = min(samples, max(1, _MC_CHUNK_ELEMENTS // series.shape[1]))
+    # buffers every chunk reuses: T_0..T_deg at the chunk's u, cumulative p_o
+    cheb, cum = np.ones((series.shape[1], chunk)), np.empty((len(mus), chunk))
     for lo in range(0, samples, chunk):
         uc = u[lo:lo + chunk]
-        lg, dq, cm = logs[:, :uc.size], dsq[:, :uc.size], cum[:, :uc.size]
-        np.maximum((1.0 + uc) / 2.0, 1e-300, out=lg[1])
-        np.maximum((1.0 - uc) / 2.0, 1e-300, out=lg[2])
-        np.log(lg[1:], out=lg[1:])
-        np.exp(np.matmul(powers, lg, out=dq), out=dq)
-        np.maximum(np.matmul(coef, dq, out=cm), 0.0, out=cm)
+        tk, cm = cheb[:, :uc.size], cum[:, :uc.size]
+        tk[1:2] = uc  # T_0 stays 1; a series of degree 0 has no T_1
+        for k in range(2, len(tk)):  # T_k = 2u T_{k-1} - T_{k-2}
+            np.multiply(uc, tk[k - 1], out=tk[k])
+            tk[k] *= 2.0
+            tk[k] -= tk[k - 2]
+        np.maximum(np.matmul(series, tk, out=cm), 0.0, out=cm)
         for o in range(1, len(mus)):  # row by row: cumsum along a short axis is slow
             cm[o] += cm[o - 1]
         draw = pick[lo:lo + chunk] * cm[-1]

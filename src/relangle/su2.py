@@ -240,7 +240,8 @@ def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
     num = (tJ + 1) * math.comb(tj1, a) * math.comb(tj2, a) * s * s
     den = ((a + p + q + 1) * math.comb(a + p + q, a) * math.comb(tj1, b) * math.comb(tj2, c)
            * math.comb(tJ, (tJ + tM) // 2))
-    return math.copysign(math.sqrt(num / den), s)
+    # the sign from s < 0: copysign would make s a float, which overflows once |s| >= 2**1024
+    return (-1.0 if s < 0 else 1.0) * math.sqrt(num / den)
 
 
 @lru_cache(maxsize=None)

@@ -125,6 +125,11 @@ class TestCertify:
         assert main(["certify", "--j2", "1/2", "--state", "parallel"]) == 0
         assert "[pass]" in capsys.readouterr().out
 
+    def test_pass_beyond_float_range_of_racah_sum(self, capsys):
+        # at 2j2 = 1040 the Racah sums of the CG table no longer fit in a float
+        assert main(["certify", "--j2", "520", "--state", "parallel"]) == 0
+        assert "[pass]" in capsys.readouterr().out
+
     def test_state_file(self, tmp_path, capsys):
         f = tmp_path / "state.txt"
         f.write_text(state_to_text(GenericState.two_term(0.7)), encoding="utf-8")

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 import relangle.estimator as estimator_module
@@ -356,9 +357,14 @@ def montecarlo_reference(state, j2, povm, samples, seed):
     return est, math.sqrt(var / samples)
 
 
-def chunk_samples(j2):
-    """Samples per fidelity_montecarlo chunk at j2."""
-    return max(1, estimator_module._MC_CHUNK_ELEMENTS // (half(j2).twice + 1))
+def series_degree(state, j2):
+    """Degree in cos(beta) of every outcome probability of state at j2."""
+    return min(max(j1.twice for j1 in state.j_labels), half(j2).twice)
+
+
+def chunk_samples(state, j2):
+    """Samples per fidelity_montecarlo chunk for state at j2."""
+    return max(1, estimator_module._MC_CHUNK_ELEMENTS // (series_degree(state, j2) + 1))
 
 
 REFERENCE_STATES = {
@@ -375,14 +381,14 @@ class TestFidelityMonteCarlo:
     def test_matches_reference(self, name, j2):
         state = REFERENCE_STATES[name]
         povm = max_fidelity(state, j2, certify=False).povm
-        for samples in (2, 3 * chunk_samples(j2) + 1):
+        for samples in (2, 3 * chunk_samples(state, j2) + 1):
             est, err = fidelity_montecarlo(state, j2, povm, samples, seed=7)
             want_est, want_err = montecarlo_reference(state, j2, povm, samples, seed=7)
             assert abs(est - want_est) <= 1e-14 and abs(err - want_err) <= 1e-15
 
     def test_matches_reference_three_outcomes(self):
         povm = three_term_povm(three_outcome_block())
-        for samples in (2, 3 * chunk_samples(1) + 1):
+        for samples in (2, 3 * chunk_samples(THREE_TERM, 1) + 1):
             est, err = fidelity_montecarlo(THREE_TERM, 1, povm, samples, seed=4)
             want_est, want_err = montecarlo_reference(THREE_TERM, 1, povm, samples, seed=4)
             assert abs(est - want_est) <= 1e-14 and abs(err - want_err) <= 1e-15
@@ -482,9 +488,73 @@ class TestFidelityMonteCarlo:
         # three whole chunks of samples at j2 = 10 and one more
         state = GenericState.antiparallel()
         result = max_fidelity(state, 10, certify=False)
-        samples = 3 * chunk_samples(10) + 1
+        samples = 3 * chunk_samples(state, 10) + 1
         r1 = fidelity_montecarlo(state, 10, result.povm, samples=samples, seed=5)
         r2 = fidelity_montecarlo(state, 10, result.povm, samples=samples, seed=5)
         assert r1 == r2
         est, err = r1
         assert abs(est - fidelity(state, 10, result.povm)) < 5.0 * err
+
+    def test_large_j2(self):
+        # at 2j2 = 1040 the integer Racah sums of the CG table no longer fit in a float
+        state = GenericState.two_term(0.6)
+        povm = max_fidelity(state, 520, certify=False).povm
+        est, err = fidelity_montecarlo(state, 520, povm, samples=20000, seed=11)
+        assert abs(est - fidelity(state, 520, povm)) < 5.0 * err
+
+
+def direct_probabilities(state, j2, povm, u):
+    """Each outcome's p_o(u) as coef @ d^2 with d^2 in log form, and each row's sum of |coef|."""
+    j2 = half(j2)
+    coef = []
+    for J, (basis, cols) in _cg_table(state.m1, state.j_labels, j2).items():
+        amps = np.array([state.amplitude(j1) for j1 in basis])
+        for element in povm.per_block[J].elements:
+            coef.append(np.einsum("i,k,ik,in,kn->n", amps, amps, element, cols, cols))
+    coef = np.array(coef)
+    a_pow = np.arange(j2.twice + 1)[:, None]  # j2 + m2
+    log_c2 = np.log(np.maximum((1.0 + u) / 2.0, 1e-300))
+    log_s2 = np.log(np.maximum((1.0 - u) / 2.0, 1e-300))
+    dsq = np.exp(_log_binom(j2.twice)[:, None] + a_pow * log_c2 + a_pow[::-1] * log_s2)
+    return coef @ dsq, np.abs(coef).sum(axis=1)
+
+
+def random_symmetric_povm(state, j2, rng):
+    """Three random estimates and symmetric elements on every block; not a POVM."""
+    per_block = {}
+    for J, dim in block_dims(state, j2).items():
+        x = rng.normal(size=(3, dim, dim))
+        per_block[J] = BlockPovm(rng.uniform(0.0, math.pi, 3), x + x.swapaxes(1, 2))
+    return PovmSpec(per_block)
+
+
+SERIES_STATES = {
+    "j1_zero": GenericState.from_dict(0, {0: 1.0}),
+    "m1_zero": GenericState.two_term(0.609),
+    "m1_zero_three": GenericState.from_dict(0, {0: 0.5, 2: 0.5, 3: math.sqrt(0.5)}),
+    "m1_half": GenericState.from_dict("1/2", {"1/2": 0.6, "3/2": 0.8}),
+    "m1_half_three": GenericState.from_dict("1/2", {"1/2": 0.6, "3/2": 0.64, "5/2": 0.48}),
+    "m1_one": GenericState.from_dict(1, {1: math.cos(0.4), 3: math.sin(0.4)}),
+    "m1_one_three": GenericState.from_dict(1, {1: 0.6, 2: 0.64, 3: 0.48}),
+}
+
+
+class TestOutcomeSeries:
+    @pytest.mark.parametrize("name", sorted(SERIES_STATES))
+    @pytest.mark.parametrize("j2", ["1/2", "1", "7/2", "10", "50", "100"])
+    def test_matches_direct_probabilities(self, name, j2):
+        state = SERIES_STATES[name]
+        rng = np.random.default_rng(17)
+        u = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 2000)])
+        povms = [random_symmetric_povm(state, j2, rng)]
+        if max(block_dims(state, j2).values()) <= 2:  # the optimizer solves blocks up to 2x2
+            povms.append(max_fidelity(state, j2, certify=False).povm)
+        for povm in povms:
+            mus, series = estimator_module._outcome_series(state, half(j2), povm)
+            want, scale = direct_probabilities(state, j2, povm, u)
+            assert mus.tolist() == [mu for block in povm.per_block.values() for mu in block.mus]
+            assert series.shape == (len(want), series_degree(state, j2) + 1)
+            got = chebval(u, series.T)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale[:, None])
+            if povm is povms[0]:  # random elements reach the degree: the top term counts
+                assert np.abs(series[:, -1]).max() > 1e-6 * scale.max()

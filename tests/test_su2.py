@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
+from relangle.states import _cg_column
 from relangle.su2 import (
     _highest_weight_vector,
     _jy_eigenbasis,
@@ -36,7 +37,8 @@ def racah_fraction(tj1, tm1, tj2, tm2, tJ, tM):
               * f((tj2 - tm2) // 2) * f(c))
     total = sum(Fraction((-1) ** k, f(k) * f(a - k) * f(b - k) * f(c - k) * f(d + k) * f(e + k))
                 for k in range(max(0, -d, -e), min(a, b, c) + 1))
-    return math.copysign(math.sqrt(float(pref2 * total * total)), float(total))
+    # the sign from total < 0: float(total) underflows to 0 at large labels, losing it
+    return (-1.0 if total < 0 else 1.0) * math.sqrt(float(pref2 * total * total))
 
 
 def highest_weight_scalar(twice_j, twice_m, beta):
@@ -368,6 +370,17 @@ class TestClebschGordan:
                         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
                         checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("j1, m1, J", [(0, 0, 520), ("1/2", "-1/2", "1041/2"), (3, 1, 520)])
+    def test_column_beyond_float_range_of_racah_sum(self, j1, m1, J):
+        # at 2j2 = 1040 the integer Racah sums of these columns no longer fit in a float
+        j1, m1, j2, J = half(j1), half(m1), half(520), half(J)
+        got = _cg_column(j1, m1, j2, J)
+        want = [racah_fraction(j1.twice, m1.twice, j2.twice, m2.twice, J.twice, (m1 + m2).twice)
+                if abs((m1 + m2).twice) <= J.twice else 0.0 for m2 in m_range(j2)]
+        assert got.tolist() == want
+        # the squared column sums to (2J+1)/(2j1+1) over m2
+        assert got @ got == pytest.approx((J.twice + 1) / (j1.twice + 1), rel=1e-12)
 
     def test_large_j_exact_path(self):
         # the Racah sum stays exact at large labels; normalization must hold
