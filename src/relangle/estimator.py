@@ -8,8 +8,10 @@ Beta-function values in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .states import (
     _cg_table,
     check_samples,
     check_seed,
-    coupling_structure,
 )
 
 _PSD_TOL = 1e-12
@@ -72,7 +73,7 @@ def moment_integrals(j2: HalfInt, m2: HalfInt) -> MomentTriple:
     return MomentTriple(P=P, Q=math.exp(log_q), R=R)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrigBlock:
     basis: tuple[HalfInt, ...]
     k0: np.ndarray
@@ -87,10 +88,6 @@ class TrigBlock:
         return self.k0 + math.sin(mu) * self.k1 + math.cos(mu) * self.k2
 
 
-# per block dimension d: the places of its blocks in J order and their (3, n, d, d) k0, k1, k2
-DimStacks = dict[int, tuple[tuple[int, ...], np.ndarray]]
-
-
 def _groups(keys) -> dict:
     """The places of each distinct key, in the order the keys first appear."""
     out: dict = {}
@@ -99,44 +96,68 @@ def _groups(keys) -> dict:
     return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrigBlocks:
-    """Direct sum of trigonometric-in-mu operator families A(mu).
+    """Direct sum of trigonometric-in-mu operator families A(mu) = k0 + sin(mu) k1 + cos(mu) k2.
 
-    ``stacks`` is set by ``signal_trig_blocks``: the coefficients grouped by
-    block dimension, and the views into them that its blocks hold.  ``by_dim``
-    returns them only while every block still holds those same arrays, and
-    stacks the blocks anew otherwise, so a replaced block is always seen.
+    ``bases`` maps each J, in J order, to its basis.  ``stacks``, the one store of the
+    coefficients, holds per block dimension d the places of its blocks in that order and
+    one (3, n, d, d) array of their k0, k1 and k2.  Every way of making a family checks
+    it and keeps a read-only copy: stacks that do not hold each block once at its
+    dimension, or hold no block, raise StructureMismatchError; a complex coefficient
+    TypeError; a non-finite one DomainError and an asymmetric one StructureMismatchError,
+    each naming the first such J.
     """
 
-    blocks: dict[HalfInt, TrigBlock]
-    stacks: tuple[DimStacks, list] | None = field(default=None, init=False, repr=False,
-                                                  compare=False)
+    bases: Mapping[HalfInt, tuple[HalfInt, ...]]
+    stacks: Mapping[int, tuple[tuple[int, ...], np.ndarray]]
 
-    def at(self, mu: float) -> BlockedOperator:
-        out = BlockedOperator()
-        for J, blk in self.blocks.items():
-            out.blocks[J] = (blk.basis, blk.at(mu))
-        return out
+    def __post_init__(self):
+        Js, dims = list(self.bases), [len(basis) for basis in self.bases.values()]
+        places = sorted(p for ps, _ in self.stacks.values() for p in ps)
+        if not Js or places != list(range(len(Js))):
+            raise StructureMismatchError(f"stacks hold the places {places} of {len(Js)} blocks: "
+                                         "a family needs at least one block, each once")
+        stacks = {}
+        for d, (ps, stack) in self.stacks.items():
+            stack = np.asarray(stack).astype(float, casting="same_kind")  # the family's own copy
+            stack.flags.writeable = False
+            if stack.shape != (3, len(ps), d, d) or any(dims[p] != d for p in ps):
+                raise StructureMismatchError(f"stack of shape {stack.shape} holds blocks of "
+                                             f"dimensions {[dims[p] for p in ps]}")
+            stacks[d] = (tuple(ps), stack)
+        checks = ((DomainError, "a non-finite", np.isfinite),
+                  (StructureMismatchError, "an asymmetric", lambda s: s == s.swapaxes(2, 3)))
+        for error, what, passes in checks:
+            bad = [(ps, stack) for ps, stack in stacks.values() if not passes(stack).all()]
+            if bad:
+                place = min(ps[np.argmin(passes(stack).all(axis=(0, 2, 3)))] for ps, stack in bad)
+                raise error(f"block J={Js[place]} has {what} k0, k1 or k2 coefficient")
+        object.__setattr__(self, "bases", MappingProxyType(dict(self.bases)))
+        object.__setattr__(self, "stacks", MappingProxyType(stacks))
 
-    def by_dim(self) -> DimStacks:
-        """The coefficient stacks per block dimension; a block whose k0, k1 or k2 is not
-        (dim, dim) raises StructureMismatchError naming it."""
-        blocks = list(self.blocks.values())
-        if self.stacks is not None:
-            stacks, views = self.stacks
-            if len(views) == len(blocks) and all(
-                    blk.basis is basis and blk.k0 is k0 and blk.k1 is k1 and blk.k2 is k2
-                    for blk, (basis, k0, k1, k2) in zip(blocks, views)):
-                return stacks
-        for J, blk in self.blocks.items():
+    @classmethod
+    def of(cls, blocks: Mapping[HalfInt, TrigBlock]) -> "TrigBlocks":
+        """The family of these blocks, in the mapping's order; a block whose k0, k1 or k2 is
+        not (dim, dim) raises StructureMismatchError naming it."""
+        for J, blk in blocks.items():
             shapes = [np.shape(k) for k in (blk.k0, blk.k1, blk.k2)]
             if any(shape != (blk.dim, blk.dim) for shape in shapes):
                 raise StructureMismatchError(f"block J={J} of dimension {blk.dim} has "
                                              f"coefficients of shapes {shapes}")
-        return {d: (tuple(places), np.array([[blocks[p].k0, blocks[p].k1, blocks[p].k2]
-                                             for p in places]).swapaxes(0, 1))
-                for d, places in _groups(blk.dim for blk in blocks).items()}
+        ordered = list(blocks.values())
+        return cls({J: blk.basis for J, blk in blocks.items()},
+                   {d: (tuple(places), np.array([[ordered[p].k0, ordered[p].k1, ordered[p].k2]
+                                                 for p in places]).swapaxes(0, 1))
+                    for d, places in _groups(blk.dim for blk in ordered).items()})
+
+    @cached_property
+    def blocks(self) -> Mapping[HalfInt, TrigBlock]:
+        """Each J's block, read-only; its k0, k1 and k2 are views into the stacks."""
+        views = sorted((place, stack[:, p]) for places, stack in self.stacks.values()
+                       for p, place in enumerate(places))
+        return MappingProxyType({J: TrigBlock(basis, *view)
+                                 for (J, basis), (_, view) in zip(self.bases.items(), views)})
 
 
 @lru_cache(maxsize=None)
@@ -166,28 +187,23 @@ def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:
     """A(mu) coefficient blocks for the rotation-averaged signal state.
 
     Each block dimension is one outer product of the amplitudes and one
-    multiply with the cached geometry; the blocks are views into the result.
+    multiply with the cached geometry.
     """
-    j2 = half(j2)
-    bases, geo = _geometry(state.m1, state.j_labels, j2)
+    bases, geo = _geometry(state.m1, state.j_labels, half(j2))
     amps = state.amplitude_vector
-    block_bases, stacks, views = list(bases.values()), {}, [None] * len(bases)
+    stacks = {}
     for d, (places, idx, coeffs) in geo.items():
         x = amps[idx]
-        stack = (x[:, :, None] * x[:, None, :]) * coeffs
-        stacks[d] = (places, stack)
-        for p, place in enumerate(places):
-            views[place] = (block_bases[place], stack[0, p], stack[1, p], stack[2, p])
-    trig = TrigBlocks({J: TrigBlock(*view) for J, view in zip(bases, views)})
-    trig.stacks = stacks, views
-    return trig
+        stacks[d] = (places, (x[:, :, None] * x[:, None, :]) * coeffs)
+    return TrigBlocks(bases, stacks)
 
 
 def a_operator(state: GenericState, j2: HalfInt, mu: float) -> BlockedOperator:
     """Utility-weighted measurement operator A_mu as a block direct sum."""
     if not 0.0 <= mu <= math.pi:
         raise DomainError(f"mu = {mu} outside [0, pi]")
-    return signal_trig_blocks(state, j2).at(mu)
+    return BlockedOperator({J: (blk.basis, blk.at(mu))
+                            for J, blk in signal_trig_blocks(state, j2).blocks.items()})
 
 
 def _lambda_min(a, b, c):
@@ -269,10 +285,6 @@ def _failed_check(blocks: list[BlockPovm]) -> tuple[type, str] | None:
         if low.min() < -_PSD_TOL:
             return StructureMismatchError, "element on block J={J} not PSD"
     return None
-
-
-def block_dims(state: GenericState, j2: HalfInt) -> dict[HalfInt, int]:
-    return {J: len(basis) for J, basis in coupling_structure(state, half(j2))}
 
 
 def fidelity(state: GenericState, j2: HalfInt, povm: PovmSpec) -> float:

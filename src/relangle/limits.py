@@ -56,8 +56,8 @@ def _quadrature() -> tuple[np.ndarray, np.ndarray]:
 def classical_trig_blocks(state: GenericState) -> TrigBlocks:
     """A(mu) coefficients for the classical task, by Gauss-Legendre quadrature."""
     betas, w = _quadrature()
-    return TrigBlocks({m: TrigBlock(basis, *_cg_contract(amp_d, w))
-                       for m, (basis, amp_d) in _sigma_columns(state, betas).items()})
+    return TrigBlocks.of({m: TrigBlock(basis, *_cg_contract(amp_d, w))
+                          for m, (basis, amp_d) in _sigma_columns(state, betas).items()})
 
 
 def classical_fidelity(state: GenericState) -> OptimizationResult:

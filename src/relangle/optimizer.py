@@ -25,7 +25,6 @@ import numpy as np
 from .su2 import DomainError, HalfInt, half
 from .estimator import (
     BlockPovm,
-    DimStacks,
     PovmSpec,
     StructureMismatchError,
     TrigBlocks,
@@ -68,24 +67,12 @@ class OptimizationResult:
                 and self.certificate_min_eigenvalue >= CERTIFICATE_PASS)
 
 
-def _check_dims(trig: TrigBlocks, stacks: DimStacks) -> None:
-    big = [(places[0], d) for d, (places, _) in stacks.items() if d > 2]
+def _check_dims(trig: TrigBlocks) -> None:
+    big = [(places[0], d) for d, (places, _) in trig.stacks.items() if d > 2]
     if big:
         place, d = min(big)
-        raise UnsupportedBlockError(f"block J={list(trig.blocks)[place]} has dimension {d}; "
+        raise UnsupportedBlockError(f"block J={list(trig.bases)[place]} has dimension {d}; "
                                     "only dimensions <= 2 are solved")
-
-
-def _check_coefficients(trig: TrigBlocks, stacks: DimStacks) -> None:
-    """Refuse a non-finite or an asymmetric k0, k1 or k2, naming the first such J in J order."""
-    checks = ((DomainError, "a non-finite", np.isfinite),
-              (StructureMismatchError, "an asymmetric", lambda s: s == s.swapaxes(2, 3)))
-    for error, what, passes in checks:
-        bad = [(places, stack) for places, stack in stacks.values() if not passes(stack).all()]
-        if bad:
-            place = min(places[np.argmin(passes(stack).all(axis=(0, 2, 3)))]
-                        for places, stack in bad)
-            raise error(f"block J={list(trig.blocks)[place]} has {what} k0, k1 or k2 coefficient")
 
 
 def _block_value(t0, t1, a, b=0.0, c=0.0):
@@ -98,13 +85,10 @@ def _block_value(t0, t1, a, b=0.0, c=0.0):
 def _contributions(trig: TrigBlocks) -> tuple[list[float], list]:
     """Each block's best value tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1 in J order, and
     (d, places, k2, nu) per dimension.  A block of dimension above 2 raises
-    UnsupportedBlockError, a non-finite coefficient DomainError and an asymmetric one
-    StructureMismatchError, each naming the first such J."""
-    stacks = trig.by_dim()
-    _check_dims(trig, stacks)
-    _check_coefficients(trig, stacks)
-    values, passes = np.zeros(len(trig.blocks)), []
-    for d, (places, (k0, k1, k2)) in stacks.items():
+    UnsupportedBlockError naming the first such J."""
+    _check_dims(trig)
+    values, passes = np.zeros(len(trig.bases)), []
+    for d, (places, (k0, k1, k2)) in trig.stacks.items():
         contrib, nu = _block_value(k0.trace(axis1=1, axis2=2), k1.trace(axis1=1, axis2=2),
                                    *(k2[:, i, k] for i, k in zip(*_UPPER[d])))
         values[list(places)] = contrib
@@ -130,15 +114,15 @@ def _solve(trig: TrigBlocks) -> tuple[dict[HalfInt, BlockPovm], dict[HalfInt, fl
             elements = np.array([proj_nu, np.eye(2) - proj_nu]).swapaxes(0, 1)
         for place, m, e in zip(places, mus, elements):
             povms[place] = BlockPovm(m, e)
-    return dict(zip(trig.blocks, povms)), dict(zip(trig.blocks, values))
+    return dict(zip(trig.bases, povms)), dict(zip(trig.bases, values))
 
 
 def optimal_block(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[BlockPovm, float]:
     """Optimal measurement on block J of the signal and its fidelity contribution."""
     J, trig = half(J), signal_trig_blocks(state, half(j2))
-    if J not in trig.blocks:
+    if J not in trig.bases:
         raise StructureMismatchError(f"J={J} is not a block of the signal; its blocks are "
-                                     f"{', '.join(str(K) for K in trig.blocks)}")
+                                     f"{', '.join(str(K) for K in trig.bases)}")
     povms, values = _solve(trig)
     return povms[J], values[J]
 
@@ -168,11 +152,10 @@ def _upsilon(stack: np.ndarray, specs: list[BlockPovm]) -> np.ndarray:
 
 def _certificate(trig: TrigBlocks, povm: PovmSpec) -> float:
     """Minimum eigenvalue of Upsilon - A_mu over all blocks and the mu grid, a pass per dimension."""
-    stacks = trig.by_dim()
-    _check_dims(trig, stacks)
-    Js = list(trig.blocks)
+    _check_dims(trig)
+    Js = list(trig.bases)
     lows = []
-    for d, (places, stack) in stacks.items():
+    for d, (places, stack) in trig.stacks.items():
         gap = _upsilon(stack, [povm.per_block[Js[place]] for place in places]) - stack[0]
         if d == 1:  # lambda_min of [x] is x
             low = gap[:, 0] - _SIN_MU * stack[1, :, 0] - _COS_MU * stack[2, :, 0]
@@ -188,7 +171,7 @@ def _certificate(trig: TrigBlocks, povm: PovmSpec) -> float:
 
 def helstrom_certificate(state: GenericState, j2: HalfInt, povm: PovmSpec) -> float:
     trig = signal_trig_blocks(state, half(j2))
-    povm.validate({J: blk.dim for J, blk in trig.blocks.items()})
+    povm.validate({J: len(basis) for J, basis in trig.bases.items()})
     return _certificate(trig, povm)
 
 

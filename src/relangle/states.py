@@ -145,9 +145,6 @@ class BlockedOperator:
         return min((float(np.linalg.eigvalsh(mat).min()) for _, mat in self.blocks.values()),
                    default=math.inf)
 
-    def max_symmetry_defect(self) -> float:
-        return max(float(np.abs(m - m.T).max()) for _, m in self.blocks.values())
-
 
 def coupling_structure(state: GenericState | tuple[HalfInt, ...],
                        j2: HalfInt) -> list[tuple[HalfInt, tuple[HalfInt, ...]]]:
@@ -201,14 +198,6 @@ def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOper
         amps = np.array([state.amplitude(j1) for j1 in basis])
         out.blocks[J] = (basis, np.outer(amps, amps) * _cg_contract(cols, dsq))
     return out
-
-
-def coherent_overlap_distribution(state: GenericState, j2: HalfInt, beta: float) -> dict[HalfInt, float]:
-    """Outcome probabilities p_J(beta) for a coherent preparation (each J once)."""
-    if not state.is_coherent():
-        raise DomainError("overlap distribution is defined for coherent preparations only")
-    rho = averaged_state(state, j2, beta)
-    return {J: float(mat[0, 0]) for J, (basis, mat) in rho.blocks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +308,6 @@ def coupled_basis_matrix(state: GenericState, j2: HalfInt) -> tuple[np.ndarray, 
             if jc == j1 and M.twice == m.twice + m2.twice:
                 V[r, c] = clebsch_gordan(j1, m, j2, m2, J, M)
     return V, labels
-
-
-def blocks_from_full_matrix(state: GenericState, j2: HalfInt, full: np.ndarray) -> BlockedOperator:
-    """Reduce a full product-space operator to M-summed (J, j1, j1') blocks."""
-    V, labels = coupled_basis_matrix(state, j2)
-    coupled = V.T @ full.real @ V
-    cols: dict[tuple[HalfInt, HalfInt], list[int]] = {}  # per (J, j1), in ascending M
-    for c, (J, _, j1) in enumerate(labels):
-        cols.setdefault((J, j1), []).append(c)
-    out = BlockedOperator()
-    for J, basis in coupling_structure(state, j2):
-        # sum over M of the (J M j1, J M j1') entries: the diagonal of each sub-block
-        out.blocks[J] = (basis, np.array([[np.trace(coupled[np.ix_(cols[J, a], cols[J, b])])
-                                           for b in basis] for a in basis]))
-    return out
 
 
 # ---------------------------------------------------------------------------

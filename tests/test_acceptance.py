@@ -18,7 +18,6 @@ from relangle.states import (
 from relangle.estimator import (
     BlockPovm,
     PovmSpec,
-    block_dims,
     fidelity,
     fidelity_montecarlo,
     signal_trig_blocks,
@@ -37,6 +36,7 @@ from relangle.limits import (
     default_sweep_grid,
     sweep_optimal_vs_j2,
 )
+from helpers import block_dims, max_symmetry_defect
 
 BLIND_GUESS = 0.5 + math.pi / 8.0
 
@@ -147,7 +147,7 @@ def test_criterion_8_property_suite():
         for beta in (0.3, 1.6, 2.9):
             rho = averaged_state(state, "5/2", beta)
             worst_struct = max(worst_struct, abs(rho.trace() - 1.0),
-                               rho.max_symmetry_defect(),
+                               max_symmetry_defect(rho),
                                max(0.0, -rho.min_eigenvalue()))
             sigma = classical_sigma(state, beta)
             worst_struct = max(worst_struct, abs(sigma.trace() - 1.0))

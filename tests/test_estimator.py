@@ -14,7 +14,6 @@ from relangle.estimator import (
     PovmSpec,
     StructureMismatchError,
     a_operator,
-    block_dims,
     fidelity,
     fidelity_montecarlo,
     moment_integrals,
@@ -22,6 +21,7 @@ from relangle.estimator import (
     utility,
 )
 from relangle.optimizer import helstrom_certificate, max_fidelity
+from helpers import block_dims
 
 BLIND_GUESS = 0.5 + math.pi / 8.0
 

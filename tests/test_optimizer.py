@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from relangle.estimator import (
     TrigBlock,
     TrigBlocks,
     _lambda_min,
-    block_dims,
     fidelity,
     fidelity_montecarlo,
     moment_integrals,
@@ -36,6 +35,7 @@ from relangle.optimizer import (
     optimize_trig_blocks,
     two_term_nu,
 )
+from helpers import block_dims
 
 THREE_TERM = GenericState.from_dict(0, {0: 0.5, 1: 0.5, 2: math.sqrt(0.5)})
 
@@ -149,7 +149,7 @@ NEGATIVE_K1_BLOCKS = [
 
 def solve_alone(blk, J=half(0)):
     """optimize_trig_blocks on a family of the one block: its BlockPovm and contribution."""
-    result = optimize_trig_blocks(TrigBlocks({J: blk}), certify=False)
+    result = optimize_trig_blocks(TrigBlocks.of({J: blk}), certify=False)
     return result.povm.per_block[J], result.per_block_contributions[J]
 
 
@@ -681,12 +681,12 @@ class TestPerDimensionPass:
 
     @pytest.mark.parametrize("blk", NEGATIVE_K1_BLOCKS)
     def test_negative_trace_k1_blocks(self, blk):
-        assert_matches_per_block(TrigBlocks({half(0): blk}))
+        assert_matches_per_block(TrigBlocks.of({half(0): blk}))
 
     def test_mixed_dimensions_built_by_hand(self):
         # the three NEGATIVE_K1_BLOCKS as one family: two 1-dim blocks around a 2-dim one
         order = [NEGATIVE_K1_BLOCKS[0], NEGATIVE_K1_BLOCKS[2], NEGATIVE_K1_BLOCKS[1]]
-        assert_matches_per_block(TrigBlocks({HalfInt(t): blk for t, blk in enumerate(order)}))
+        assert_matches_per_block(TrigBlocks.of({HalfInt(t): blk for t, blk in enumerate(order)}))
 
     @pytest.mark.parametrize("state", [
         GenericState.parallel(),
@@ -733,8 +733,8 @@ class TestMalformedTrigBlocks:
     @pytest.mark.parametrize("certify", [False, True])
     def test_non_finite_coefficient_raises(self, certify):
         for bad in ([[math.nan]], [[math.inf]]):
-            trig = TrigBlocks({half(0): GOOD_1, half(1): one_block(bad, [[0.1]], [[0.2]])})
             with pytest.raises(DomainError, match=r"J=1 .*non-finite"):
+                trig = TrigBlocks.of({half(0): GOOD_1, half(1): one_block(bad, [[0.1]], [[0.2]])})
                 optimize_trig_blocks(trig, certify=certify)
 
     @pytest.mark.parametrize("k0, k1, k2", [
@@ -743,26 +743,52 @@ class TestMalformedTrigBlocks:
         ([[0.3]], [[0.1]], np.zeros((1, 2))),
     ], ids=["k0_2x2", "k1_1d", "k2_1x2"])
     def test_wrong_shape_names_the_block(self, k0, k1, k2):
-        trig = TrigBlocks({half(0): GOOD_1, half("1/2"): one_block(k0, k1, k2)})
         with pytest.raises(StructureMismatchError, match="J=1/2 "):
-            optimize_trig_blocks(trig)
+            optimize_trig_blocks(TrigBlocks.of({half(0): GOOD_1,
+                                                half("1/2"): one_block(k0, k1, k2)}))
 
     def test_asymmetric_k2_raises(self):
         blk = one_block(GOOD_2.k0, GOOD_2.k1, [[0.2, 0.1], [0.3, 0.1]], PAIR)
         with pytest.raises(StructureMismatchError, match=r"J=3 .*asymmetric"):
-            optimize_trig_blocks(TrigBlocks({half(2): GOOD_2, half(3): blk}), certify=False)
+            optimize_trig_blocks(TrigBlocks.of({half(2): GOOD_2, half(3): blk}), certify=False)
 
     def test_first_bad_block_in_j_order_is_named(self):
         nan_1 = one_block([[math.nan]], [[0.1]], [[0.2]])
         nan_2 = one_block(GOOD_2.k0, GOOD_2.k1, np.full((2, 2), math.nan), PAIR)
         # two bad blocks of one shape, and a bad block of the other dimension after them
-        trig = TrigBlocks({half(0): GOOD_1, half(1): nan_1, half(2): GOOD_2, half(3): nan_1})
         with pytest.raises(DomainError, match="J=1 "):
-            optimize_trig_blocks(trig)
-        trig = TrigBlocks({half(0): GOOD_1, half(1): GOOD_2, half(2): nan_2, half(3): nan_1,
-                           half(4): nan_2})
+            optimize_trig_blocks(TrigBlocks.of({half(0): GOOD_1, half(1): nan_1, half(2): GOOD_2,
+                                                half(3): nan_1}))
         with pytest.raises(DomainError, match="J=2 "):
+            optimize_trig_blocks(TrigBlocks.of({half(0): GOOD_1, half(1): GOOD_2, half(2): nan_2,
+                                                half(3): nan_1, half(4): nan_2}))
+
+    def test_non_finite_comes_before_a_large_block(self):
+        # the coefficients are checked when the family is made, its dimensions when it is solved
+        big = one_block(np.eye(3), np.zeros((3, 3)), np.eye(3), (half(0), half(1), half(2)))
+        with pytest.raises(DomainError, match="J=1 .*non-finite"):
+            TrigBlocks.of({half(0): big, half(1): one_block([[math.nan]], [[0.1]], [[0.2]])})
+        trig = TrigBlocks.of({half(0): big, half(1): GOOD_1})
+        with pytest.raises(UnsupportedBlockError, match="J=0 has dimension 3"):
             optimize_trig_blocks(trig)
+
+    def test_empty_family_raises(self):
+        with pytest.raises(StructureMismatchError, match="at least one block"):
+            TrigBlocks.of({})
+
+    def test_complex_coefficient_raises(self):
+        blk = TrigBlock((half(0),), np.array([[0.3 + 0.1j]]), np.array([[0.1]]),
+                        np.array([[0.2]]))
+        with pytest.raises(TypeError):
+            TrigBlocks.of({half(0): GOOD_1, half(1): blk})
+
+    @pytest.mark.parametrize("places", [((0,), (0,)), ((0,), (2,)), ((0, 1), ()), ((1,), (0,))],
+                             ids=["repeated", "out_of_range", "wrong_count", "wrong_dimension"])
+    def test_stacks_that_miss_a_block_raise(self, places):
+        trig = TrigBlocks.of({half(0): GOOD_1, half(1): GOOD_2})
+        (_, one), (_, two) = trig.stacks.values()
+        with pytest.raises(StructureMismatchError):
+            TrigBlocks(trig.bases, {1: (places[0], one), 2: (places[1], two)})
 
     def test_validate_names_the_first_bad_block(self):
         state = GenericState.from_dict(0, {2: 0.6, 3: 0.8})
@@ -821,31 +847,37 @@ class TestOnePassPerDimension:
     def test_blocks_are_views_into_one_stack_per_dimension(self):
         trig = signal_trig_blocks(GenericState.from_dict(0, {2: 0.6, 3: 0.8}), half(5))
         blocks = list(trig.blocks.values())
-        for places, stack in trig.by_dim().values():
+        for places, stack in trig.stacks.values():
             assert stack.shape[:2] == (3, len(places))
             for p, place in enumerate(places):
                 blk = blocks[place]
                 for c, k in enumerate((blk.k0, blk.k1, blk.k2)):
                     assert k.base is stack and np.shares_memory(k, stack[c, p])
 
-    def test_replaced_blocks_are_solved_anew(self):
-        old = GenericState.from_dict(0, {2: 0.6, 3: 0.8})
-        new = GenericState.from_dict(0, {2: 0.8, 3: 0.6})
-        new_blocks = signal_trig_blocks(new, half(5)).blocks
-        J = list(new_blocks)[1]
-        old_value = max_fidelity(old, 5).per_block_contributions[J]
-
-        def block_swapped(trig):
+    def test_families_are_read_only(self):
+        state = GenericState.from_dict(0, {2: 0.6, 3: 0.8})
+        trig = signal_trig_blocks(state, half(5))
+        new_blocks = signal_trig_blocks(GenericState.from_dict(0, {2: 0.8, 3: 0.6}), half(5)).blocks
+        J = list(trig.bases)[1]
+        blk = trig.blocks[J]
+        with pytest.raises(TypeError):
             trig.blocks[J] = new_blocks[J]
-
-        def coefficients_swapped(trig):
-            blk = trig.blocks[J]
-            blk.k0, blk.k1, blk.k2 = new_blocks[J].k0, new_blocks[J].k1, new_blocks[J].k2
-
-        changes = [lambda trig: replace(trig, blocks=dict(new_blocks)),
-                   block_swapped, coefficients_swapped]
-        for change in changes:
-            trig = signal_trig_blocks(old, half(5))
-            trig = change(trig) or trig
-            result = assert_matches_per_block(trig)
-            assert result.per_block_contributions[J] != old_value
+        with pytest.raises(FrozenInstanceError):
+            blk.k0 = new_blocks[J].k0
+        with pytest.raises(TypeError):
+            replace(trig, blocks=dict(new_blocks))
+        places, stack = trig.stacks[2]
+        for target in (stack, blk.k0):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0, 0] = 1.0
+        bad = stack.copy()
+        bad[1, -1, 0, 0] = math.nan
+        with pytest.raises(DomainError, match=f"J={list(trig.bases)[places[-1]]} .*non-finite"):
+            replace(trig, stacks={**trig.stacks, 2: (places, bad)})
+        # a family keeps its own copy: the caller's array stays writable and apart from it
+        mine = stack.copy()
+        family = replace(trig, stacks={**trig.stacks, 2: (places, mine)})
+        mine[0, 0, 0, 0] = math.nan
+        assert np.array_equal(family.stacks[2][1], stack)
+        assert max_fidelity(state, 5).per_block_contributions == \
+            optimize_trig_blocks(trig).per_block_contributions

@@ -12,8 +12,6 @@ from relangle.states import (
     GenericState,
     averaged_state,
     averaged_state_oracle,
-    blocks_from_full_matrix,
-    coherent_overlap_distribution,
     coupled_basis_matrix,
     coupling_structure,
     signal_density,
@@ -22,6 +20,7 @@ from relangle.states import (
 )
 from relangle.estimator import fidelity_montecarlo
 from relangle.optimizer import max_fidelity
+from helpers import blocks_from_full_matrix, coherent_overlap_distribution, max_symmetry_defect
 
 STATES = [
     GenericState.parallel(),
@@ -97,7 +96,7 @@ class TestAveragedState:
         for j2 in ("1/2", 2, "7/2"):
             rho = averaged_state(state, j2, beta)
             assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-            assert rho.max_symmetry_defect() < 1e-12
+            assert max_symmetry_defect(rho) < 1e-12
             assert rho.min_eigenvalue() > -1e-12
 
     def test_aligned_coherent_occupies_stretch_state(self):
