@@ -28,7 +28,6 @@ from .states import (
 )
 from .estimator import (
     BlockPovm,
-    MomentTriple,
     PovmSpec,
     StructureMismatchError,
     TrigBlock,
@@ -36,7 +35,6 @@ from .estimator import (
     a_operator,
     fidelity,
     fidelity_montecarlo,
-    moment_integrals,
     signal_trig_blocks,
     utility,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "state_from_text",
     "state_to_text",
     "BlockPovm",
-    "MomentTriple",
     "PovmSpec",
     "StructureMismatchError",
     "TrigBlock",
@@ -86,7 +83,6 @@ __all__ = [
     "a_operator",
     "fidelity",
     "fidelity_montecarlo",
-    "moment_integrals",
     "signal_trig_blocks",
     "utility",
     "OptimizationResult",

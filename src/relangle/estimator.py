@@ -1,9 +1,9 @@
 """Utility-weighted measurement operators and average-fidelity evaluation.
 
 Every block entry of the measurement operator A_mu is of the form
-c0 + c1*sin(mu) + c2*cos(mu); the three coefficients come from the angular
-moments of the squared rotated highest-weight amplitudes, which reduce to
-Beta-function values in closed form.
+c0 + c1*sin(mu) + c2*cos(mu); the rotation-averaged signal is a Legendre
+series in cos(beta) (states._multipoles), and the three coefficients are
+closed-form moments of its terms.
 """
 from __future__ import annotations
 
@@ -14,16 +14,10 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
+from numpy.polynomial import Chebyshev, Legendre
 
-from .su2 import DomainError, HalfInt, _highest_weight_vector, check_jm, half, m_range
-from .states import (
-    BlockedOperator,
-    GenericState,
-    _cg_contract,
-    _cg_table,
-    check_samples,
-    check_seed,
-)
+from .su2 import DomainError, HalfInt, half
+from .states import BlockedOperator, GenericState, _multipoles, check_samples, check_seed, coupling_structure
 
 _PSD_TOL = 1e-12
 # Chebyshev-term entries fidelity_montecarlo holds at once; 2**16 keeps its buffers in cache
@@ -37,40 +31,6 @@ class StructureMismatchError(ValueError):
 def utility(mu: float, beta: float) -> float:
     """Quadratic figure of merit cos^2((mu - beta)/2)."""
     return math.cos((mu - beta) / 2.0) ** 2
-
-
-@dataclass(frozen=True)
-class MomentTriple:
-    """Angular moments (P, Q, R) with I(mu) = P + Q*sin(mu) + R*cos(mu)."""
-
-    P: float
-    Q: float
-    R: float
-
-    def value(self, mu: float) -> float:
-        return self.P + self.Q * math.sin(mu) + self.R * math.cos(mu)
-
-
-@lru_cache(maxsize=None)
-def moment_integrals(j2: HalfInt, m2: HalfInt) -> MomentTriple:
-    """Closed-form moments of (d^{j2}_{m2 j2}(beta))^2 against the sin(beta)/2 prior.
-
-    With u = cos(beta) the squared amplitude is a Bernstein monomial in
-    (1+u)/2, so the three integrals are Beta functions:
-      P = 1/(2(2j+1)),  R = m/((2j+1)(2j+2)),
-      Q = binom(2j, j+m) * Gamma(j+m+3/2) * Gamma(j-m+3/2) / Gamma(2j+3).
-    """
-    j2, m2 = half(j2), half(m2)
-    check_jm(j2, m2)
-    tj = j2.twice
-    a, b = (j2.twice + m2.twice) // 2, (j2.twice - m2.twice) // 2
-    P = 1.0 / (2.0 * (tj + 1))
-    R = float(m2) / ((tj + 1) * (tj + 2))
-    log_q = (
-        math.lgamma(a + b + 1) - math.lgamma(a + 1) - math.lgamma(b + 1)
-        + math.lgamma(a + 1.5) + math.lgamma(b + 1.5) - math.lgamma(a + b + 3)
-    )
-    return MomentTriple(P=P, Q=math.exp(log_q), R=R)
 
 
 @dataclass(frozen=True)
@@ -162,25 +122,30 @@ class TrigBlocks:
 
 @lru_cache(maxsize=None)
 def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
-    """Amplitude-independent CG/moment contractions of every block, grouped by dimension.
+    """Amplitude-independent A(mu) coefficients of every block, grouped by dimension.
 
     Returns the basis of each J in J order and, per block dimension d, the
     places of its blocks in that order, their (n, d) label positions in js
-    and their (3, n, d, d) P, Q, R contractions.
+    and their (3, n, d, d) k0, k1, k2 coefficients.  Against the sin(beta)/2 prior and
+    the utility (1 + cos mu cos beta + sin mu sin beta)/2, the multipole stack c gives
+    k0 = c_0/2, k2 = c_1/6 and k1 = sum_K q_K c_K, q_K = (1/4) int sqrt(1 - u^2) P_K(u) du:
+    0 for odd K, and -(pi/8) [binom(2n, n) / 4^n]^2 / ((2n - 1)(n + 1)) for K = 2n.
     """
-    moments = [moment_integrals(j2, m2) for m2 in m_range(j2)]
-    weights = np.array([(t.P, t.Q, t.R) for t in moments]).T  # rows P, Q, R over m2
-    table = _cg_table(m1, js, j2)
-    bases = {J: basis for J, (basis, _) in table.items()}
-    block_bases, columns = zip(*table.values())
+    table = _multipoles(m1, js, j2)
+    block_bases, multipoles = zip(*table.values())
+    w = np.zeros((3, len(multipoles[0])))  # rows k0, k1, k2 over K
+    w[0, 0], w[2, 1:2] = 0.5, 1.0 / 6.0
+    w[1, ::2] = [-math.pi / 8.0 * (math.comb(2 * n, n) / 4 ** n) ** 2 / ((2 * n - 1) * (n + 1))
+                 for n in range(w[1, ::2].size)]
     stacks = {}
     for d, places in _groups(map(len, block_bases)).items():
         idx = np.array([[js.index(j1) for j1 in block_bases[p]] for p in places])
-        coeffs = np.stack([_cg_contract(columns[p], weights) for p in places], axis=1)
+        # multiplied out before the sum over K, so each (d, d) coefficient is exactly symmetric
+        coeffs = (w[:, None, :, None, None] * np.array([multipoles[p] for p in places])).sum(axis=2)
         for arr in (idx, coeffs):
             arr.flags.writeable = False  # cached: shared by every caller
         stacks[d] = (tuple(places), idx, coeffs)
-    return bases, stacks
+    return dict(zip(table, block_bases)), stacks
 
 
 def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:
@@ -299,26 +264,28 @@ def fidelity(state: GenericState, j2: HalfInt, povm: PovmSpec) -> float:
     return total
 
 
+@lru_cache(maxsize=None)
+def _legendre_to_chebyshev(deg: int) -> np.ndarray:
+    """(deg+1, deg+1) matrix whose row K holds the Chebyshev coefficients of P_K, read-only."""
+    out = np.array([np.pad(Legendre.basis(k).convert(kind=Chebyshev).coef, (0, deg - k))
+                    for k in range(deg + 1)])
+    out.flags.writeable = False
+    return out
+
+
 def _outcome_series(state: GenericState, j2: HalfInt, povm: PovmSpec):
     """Each outcome's estimate mu (k,) and Chebyshev coefficients (k, deg+1) of its p_o(cos beta).
 
-    p_o = sum_{m2} coef[o, m2] (d^{j2}_{m2 j2})^2 has degree at most deg = min(2 max j1, 2j2)
-    in u = cos(beta): after the twirl only the multipoles of rank L <= j1 + j1' carry beta
-    (Bartlett, Rudolph & Spekkens, RMP 79, 555 (2007)).  So its values at the deg+1 interior
-    Chebyshev nodes give the coefficients by discrete cosine orthogonality, with no solve.
+    p_o = sum_K P_K(cos beta) sum_{j1, j1'} a_{j1} a_{j1'} E_o[j1, j1'] c_K[j1, j1'] over the stacks
+    of _multipoles; one cached matrix takes each Legendre row to Chebyshev coefficients.
     """
-    mus, coef_rows = [], []
-    for J, (basis, cols) in _cg_table(state.m1, state.j_labels, j2).items():
+    mus, rows = [], []
+    for J, (basis, c) in _multipoles(state.m1, state.j_labels, j2).items():
         amps = np.array([state.amplitude(j1) for j1 in basis])
-        for mu, element in zip(povm.per_block[J].mus, povm.per_block[J].elements):
-            weight = (np.outer(amps, amps) * element.T)[:, :, None]
-            mus.append(mu)
-            coef_rows.append((weight * cols[:, None, :] * cols[None, :, :]).sum(axis=(0, 1)))
-    n = min(max(j1.twice for j1 in state.j_labels), j2.twice) + 1
-    theta = (np.arange(n) + 0.5) * (math.pi / n)  # beta at the nodes u = cos(theta)
-    dsq = np.array([_highest_weight_vector(j2, beta) for beta in theta]).T ** 2
-    cosines = np.cos(np.outer(theta, np.arange(n))) * np.where(np.arange(n), 2.0 / n, 1.0 / n)
-    return np.array(mus), np.array(coef_rows) @ dsq @ cosines
+        weight = np.outer(amps, amps) * povm.per_block[J].elements  # (outcomes, d, d)
+        mus.extend(povm.per_block[J].mus)
+        rows.extend((weight[:, None] * c).sum(axis=(2, 3)))
+    return np.array(mus), np.array(rows) @ _legendre_to_chebyshev(len(rows[0]) - 1)
 
 
 def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
@@ -328,16 +295,16 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     Draws beta from the sin(beta)/2 prior, picks an outcome from the exact
     per-outcome probabilities, and averages the utility of the outcome's
     estimate.  Deterministic for fixed (seed, samples).  Each probability is a
-    Chebyshev series of degree deg = min(2 max j1, 2j2) in cos(beta), so the
-    cost is O(samples * (deg+1) * outcomes) plus O((2j2+1) * deg) per call:
-    per chunk of max(1, 2**16 // (deg+1)) samples, the T_0..T_deg recurrence
-    and one matrix product, into two buffers allocated once per call.
+    Chebyshev series of degree deg = min(2 max j1, 2j2) in cos(beta), so the cost
+    is O(samples * (deg+1) * outcomes) plus O(outcomes * (deg+1) * d^2) per call
+    for blocks of dimension d, and none in j2 once the multipole table is cached:
+    per chunk of max(1, 2**16 // (deg+1)) samples, the T_0..T_deg recurrence and
+    one matrix product, into two buffers allocated once per call.
     """
     j2 = half(j2)
     check_samples(samples)
     check_seed(seed)
-    table = _cg_table(state.m1, state.j_labels, j2)
-    povm.validate({J: len(basis) for J, (basis, _) in table.items()})
+    povm.validate({J: len(basis) for J, basis in coupling_structure(state, j2)})
     mus, series = _outcome_series(state, j2, povm)
     cos_mu, sin_mu = np.cos(mus), np.sin(mus)
 

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .su2 import DomainError, HalfInt, half, m_range, wigner_d_matrix
-from .states import BlockedOperator, GenericState, _cg_contract, _m_index, averaged_state, check_beta
+from .states import BlockedOperator, GenericState, _m_index, averaged_state, check_beta
 from .estimator import TrigBlock, TrigBlocks
 from .optimizer import OptimizationResult, _max_fidelity_value, _search, optimize_trig_blocks
 
@@ -41,6 +41,11 @@ def classical_sigma(state: GenericState, beta: float) -> BlockedOperator:
     for m, (basis, amp_d) in _sigma_columns(state, beta).items():
         out.blocks[m] = (basis, np.outer(amp_d[:, 0], amp_d[:, 0]))
     return out
+
+
+def _cg_contract(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_n w(n) cols[i, n] cols[k, n] per row of w; multiplied out first, so exactly symmetric."""
+    return (cols[:, None, :] * cols[None, :, :] * w[..., None, None, :]).sum(axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from .su2 import (
     DomainError,
     HalfInt,
     _highest_weight_vector,
     _racah,
+    _signed_sqrt,
+    _six_j,
     check_jm,
     clebsch_gordan,
     couple_range,
@@ -122,9 +125,6 @@ class GenericState:
         j1 = half(j1)
         return next((a for jj, a in self.amplitudes if jj == j1), 0.0)
 
-    def is_coherent(self) -> bool:
-        return len(self.amplitudes) == 1 and self.amplitudes[0][0] == self.m1
-
 
 @dataclass
 class BlockedOperator:
@@ -156,25 +156,34 @@ def coupling_structure(state: GenericState | tuple[HalfInt, ...],
             for J in all_J]
 
 
-def _cg_column(j1: HalfInt, m1: HalfInt, j2: HalfInt, J: HalfInt) -> np.ndarray:
-    """C^{J, m1+m2}_{j1 m1, j2 m2} over m2 = -j2..j2 (0 outside |M| <= J)."""
-    return np.array([_racah(j1.twice, m1.twice, j2.twice, t2, J.twice, m1.twice + t2)
-                     if abs(m1.twice + t2) <= J.twice else 0.0
-                     for t2 in range(-j2.twice, j2.twice + 1, 2)])
-
-
 @lru_cache(maxsize=None)
-def _cg_table(m1: HalfInt, labels: tuple[HalfInt, ...],
-              j2: HalfInt) -> dict[HalfInt, tuple[tuple[HalfInt, ...], np.ndarray]]:
-    """Per J of coupling_structure(labels, j2): its basis and the (dim, 2j2+1) CG columns."""
-    return {J: (basis, np.array([_cg_column(j1, m1, j2, J) for j1 in basis]))
-            for J, basis in coupling_structure(labels, j2)}
+def _multipoles(m1: HalfInt, labels: tuple[HalfInt, ...],
+                j2: HalfInt) -> dict[HalfInt, tuple[tuple[HalfInt, ...], np.ndarray]]:
+    """Per J of coupling_structure(labels, j2): its basis and read-only (deg+1, d, d) stack c.
 
-
-def _cg_contract(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_n w(n) cols[i, n] cols[k, n] per row of w; on a _cg_table block n runs over m2."""
-    # multiplied out before the sum, so each (dim, dim) result is exactly symmetric
-    return (cols[:, None, :] * cols[None, :, :] * w[..., None, None, :]).sum(axis=-1)
+    Only the reference's multipoles of rank K <= deg = min(2 max j1, 2j2) survive the twirl,
+    each carrying beta as P_K(cos beta) (Bartlett, Rudolph & Spekkens, RMP 79, 555 (2007)):
+    the block at beta is a a^T o sum_K P_K(cos beta) c_K, where c_K(j1, j1') = (2K+1) (2J+1)
+    <j2 j2 K 0|j2 j2> (-1)^(J+j2+j1') <j1' m1 K 0|j1 m1> {j1 j1' K; j2 j2 J} / sqrt((2j2+1)(2j1+1))
+    is the square root of one exact ratio, computed for j1 <= j1' and mirrored.
+    """
+    tm1, tj2 = m1.twice, j2.twice
+    deg = min(max(j.twice for j in labels), tj2)
+    reference = [_racah(tj2, tj2, 2 * k, 0, tj2, tj2) for k in range(deg + 1)]
+    table = {}
+    for J, basis in coupling_structure(labels, j2):
+        c = np.zeros((deg + 1, len(basis), len(basis)))
+        for i, k in zip(*np.triu_indices(len(basis))):
+            tj1, tj1p = basis[i].twice, basis[k].twice
+            scale = ((-1) ** ((J.twice + tj2 + tj1p) // 2) * (J.twice + 1) ** 2, (tj2 + 1) * (tj1 + 1))
+            for K in range(abs(tj1 - tj1p) // 2, min((tj1 + tj1p) // 2, deg) + 1):
+                # each factor is a signed square (num, den), so c_K^2 is one exact ratio
+                factors = (scale, ((2 * K + 1) ** 2, 1), reference[K], _racah(tj1p, tm1, 2 * K, 0, tj1, tm1),
+                           _six_j(tj1, tj1p, 2 * K, tj2, tj2, J.twice))
+                c[K, i, k] = c[K, k, i] = _signed_sqrt(*map(math.prod, zip(*factors)))
+        c.flags.writeable = False  # cached: shared by every caller
+        table[J] = (basis, c)
+    return table
 
 
 def _m_index(j: HalfInt, m: HalfInt) -> int:
@@ -185,18 +194,18 @@ def _m_index(j: HalfInt, m: HalfInt) -> int:
 def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOperator:
     """Global-rotation average of the signal state at relative angle beta.
 
-    Block (J)_{j1,j1'} = a_{j1} a_{j1'} sum_{m2} (d^{j2}_{m2 j2}(beta))^2
-    C^{J M}_{j1 m1, j2 m2} C^{J M}_{j1' m1, j2 m2}, M = m1+m2.  Total trace 1.
+    Block (J)_{j1,j1'} = a_{j1} a_{j1'} sum_K P_K(cos beta) c_K(j1, j1') over _multipoles; trace 1.
     """
     j2 = half(j2)
     check_beta(beta)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
-    dsq = _highest_weight_vector(j2, beta) ** 2
     out = BlockedOperator()
-    for J, (basis, cols) in _cg_table(state.m1, state.j_labels, j2).items():
+    for J, (basis, c) in _multipoles(state.m1, state.j_labels, j2).items():
         amps = np.array([state.amplitude(j1) for j1 in basis])
-        out.blocks[J] = (basis, np.outer(amps, amps) * _cg_contract(cols, dsq))
+        legendre = legvander(math.cos(beta), len(c) - 1)[0, :, None, None]
+        # multiplied out before the sum, so each block is exactly symmetric
+        out.blocks[J] = (basis, np.outer(amps, amps) * (legendre * c).sum(axis=0))
     return out
 
 

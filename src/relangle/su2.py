@@ -225,23 +225,45 @@ def wigner_d_highest(j: HalfInt, m: HalfInt, beta: float) -> float:
     return float(_highest_weight_vector(j, beta)[(j.twice + m.twice) // 2])
 
 
-def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
-    """C^{J M}_{j1 m1, j2 m2} from doubled labels; they must be valid and tM = tm1 + tm2.
+def _signed_sqrt(num: int, den: int) -> float:
+    """sign(num) sqrt(|num| / den), int / int rounded once (copysign would overflow a float num)."""
+    return (-1.0 if num < 0 else 1.0) * math.sqrt(abs(num) / den)
+
+
+def _racah(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> tuple[int, int]:
+    """C^{J M}_{j1 m1, j2 m2} as a signed square (num, den), from valid doubled labels, tM = tm1 + tm2.
 
     The Racah sum over k, put over the common denominator a! p! q!, is a sum of
     binomial products S; then C^2 = (2J+1) S^2 binom(2j1, a) binom(2j2, a) /
     [(j1+j2+J+1) binom(j1+j2+J, a) binom(2j1, j1-m1) binom(2j2, j2+m2)
-    binom(2J, J+M)] is one exact integer ratio, and int / int rounds it once.
+    binom(2J, J+M)] is one exact integer ratio, and num carries the sign of S.
     """
     a, p, q = (tj1 + tj2 - tJ) // 2, (tJ + tj1 - tj2) // 2, (tJ - tj1 + tj2) // 2
     b, c = (tj1 - tm1) // 2, (tj2 + tm2) // 2
     s = sum((-1) ** k * math.comb(a, k) * math.comb(p, b - k) * math.comb(q, c - k)
             for k in range(max(0, b - p, c - q), min(a, b, c) + 1))
-    num = (tJ + 1) * math.comb(tj1, a) * math.comb(tj2, a) * s * s
+    num = (tJ + 1) * math.comb(tj1, a) * math.comb(tj2, a) * s * abs(s)
     den = ((a + p + q + 1) * math.comb(a + p + q, a) * math.comb(tj1, b) * math.comb(tj2, c)
            * math.comb(tJ, (tJ + tM) // 2))
-    # the sign from s < 0: copysign would make s a float, which overflows once |s| >= 2**1024
-    return (-1.0 if s < 0 else 1.0) * math.sqrt(num / den)
+    return num, den
+
+
+def _six_j(tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int) -> tuple[int, int]:
+    """6j symbol {j1 j2 j3; j4 j5 j6} as a signed square (num, den), from doubled labels whose
+    four triads are valid.  Racah's sum goes over the common denominator of its terms; there
+    (t+1)!/(t - min a)! and each triangle coefficient's (a+b+c+1)! over its largest factorial
+    are falling factorials, so one small triad keeps every factor short."""
+    triads = ((tj1, tj2, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6), (tj4, tj5, tj3))
+    a = sorted(sum(triad) // 2 for triad in triads)
+    b = ((tj1 + tj2 + tj4 + tj5) // 2, (tj2 + tj3 + tj5 + tj6) // 2, (tj3 + tj1 + tj6 + tj4) // 2)
+    lo, hi = a[-1], min(b)
+    s = sum((-1) ** t * math.perm(t + 1, a[0] + 1) * math.prod(math.perm(hi - x, hi - t) for x in a[1:])
+            * math.prod(math.perm(y - lo, t - lo) for y in b) for t in range(lo, hi + 1))
+    num, den = s * abs(s), math.prod(map(math.factorial, [hi - x for x in a[1:]] + [y - lo for y in b])) ** 2
+    for ta, tb, tc in triads:  # Delta^2 = x! y! z! / (x+y+z+1)!, with z the largest
+        x, y, z = sorted(((ta + tb - tc) // 2, (ta - tb + tc) // 2, (tb + tc - ta) // 2))
+        num, den = num * math.factorial(x) * math.factorial(y), den * math.perm(x + y + z + 1, x + y + 1)
+    return num, den
 
 
 @lru_cache(maxsize=None)
@@ -260,4 +282,4 @@ def clebsch_gordan(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt,
         raise DomainError(f"J = {J} not in coupling range of ({j1}, {j2})")
     if M.twice != m1.twice + m2.twice:
         return 0.0
-    return _racah(j1.twice, m1.twice, j2.twice, m2.twice, J.twice, M.twice)
+    return _signed_sqrt(*_racah(j1.twice, m1.twice, j2.twice, m2.twice, J.twice, M.twice))

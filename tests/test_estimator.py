@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,9 @@ from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 import relangle.estimator as estimator_module
+import relangle.states as states_module
 from relangle.su2 import DomainError, _log_binom, half, m_range
-from relangle.states import GenericState, _cg_table, averaged_state
+from relangle.states import GenericState, averaged_state
 from relangle.estimator import (
     BlockPovm,
     PovmSpec,
@@ -16,12 +18,12 @@ from relangle.estimator import (
     a_operator,
     fidelity,
     fidelity_montecarlo,
-    moment_integrals,
     signal_trig_blocks,
     utility,
 )
+from relangle.limits import default_sweep_grid
 from relangle.optimizer import helstrom_certificate, max_fidelity
-from helpers import block_dims
+from helpers import block_dims, cg_geometry, cg_table, geometry_blocks, moment_integrals
 
 BLIND_GUESS = 0.5 + math.pi / 8.0
 
@@ -87,6 +89,45 @@ class TestMomentIntegrals:
             assert tri.Q == pytest.approx(float(np.dot(w, dsq * sb * sb / 4.0)), abs=1e-12)
             assert tri.R == pytest.approx(
                 float(np.dot(w, dsq * np.cos(betas) * sb / 4.0)), abs=1e-12)
+
+
+CERTIFY_LABELS = [("0", labels) for labels in (("0", "1"), ("0", "2"), ("0", "3"), ("1", "2"),
+                                                ("1", "3"), ("2", "3"))]
+CERTIFY_LABELS += [(j1, (j1,)) for j1 in ("1/2", "1", "3/2", "2", "5/2", "3")]
+CERTIFY_LABELS += [("1/2", ("1/2", "3/2")), ("1", ("1", "2", "3"))]
+
+
+class TestGeometry:
+    def test_k0_is_diagonal_in_closed_form(self):
+        for m1, labels in CERTIFY_LABELS:
+            for j2 in (half("1/2"), half(7), half(100)):
+                for J, (basis, (k0, _, _)) in geometry_blocks(half(m1), tuple(map(half, labels)),
+                                                              j2).items():
+                    assert np.all(k0[~np.eye(len(basis), dtype=bool)] == 0.0)
+                    want = [(J.twice + 1) / (2 * (j2.twice + 1) * (j1.twice + 1)) for j1 in basis]
+                    assert k0.diagonal() == pytest.approx(want, rel=1e-15)
+
+    def test_cold_geometry_at_large_j2_is_fast(self):
+        # the table's kernel calls do not grow with j2; the CG route took 0.24 s at j2 = 400
+        best = math.inf
+        for _ in range(3):
+            estimator_module._geometry.cache_clear()
+            states_module._multipoles.cache_clear()
+            start = time.perf_counter()
+            estimator_module._geometry(half(0), (half(0), half(1)), half(10 ** 4))
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01
+
+    @pytest.mark.parametrize("m1, labels", CERTIFY_LABELS)
+    def test_matches_clebsch_gordan_route(self, m1, labels):
+        m1, labels = half(m1), tuple(map(half, labels))
+        j2s = default_sweep_grid() if labels == (half(0), half(1)) else map(half, (1, "7/2", 25, 100))
+        for j2 in j2s:
+            got, want = geometry_blocks(m1, labels, j2), cg_geometry(m1, labels, j2)
+            assert list(got) == list(want)
+            for J, (basis, coeffs) in got.items():
+                assert basis == want[J][0]
+                assert np.abs(coeffs - want[J][1]).max() <= 1e-13
 
 
 class TestAOperator:
@@ -322,7 +363,7 @@ def montecarlo_reference(state, j2, povm, samples, seed):
     sum, and a cumsum over the outcome axis.
     """
     j2 = half(j2)
-    table = _cg_table(state.m1, state.j_labels, j2)
+    table = cg_table(state.m1, state.j_labels, j2)
     mus, coef_rows = [], []
     for J, (basis, cols) in table.items():
         amps = np.array([state.amplitude(j1) for j1 in basis])
@@ -507,7 +548,7 @@ def direct_probabilities(state, j2, povm, u):
     """Each outcome's p_o(u) as coef @ d^2 with d^2 in log form, and each row's sum of |coef|."""
     j2 = half(j2)
     coef = []
-    for J, (basis, cols) in _cg_table(state.m1, state.j_labels, j2).items():
+    for J, (basis, cols) in cg_table(state.m1, state.j_labels, j2).items():
         amps = np.array([state.amplitude(j1) for j1 in basis])
         for element in povm.per_block[J].elements:
             coef.append(np.einsum("i,k,ik,in,kn->n", amps, amps, element, cols, cols))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from relangle.su2 import DomainError, HalfInt, half, m_range
-from relangle.states import GenericState, _cg_contract, _cg_table
+from relangle.su2 import DomainError, HalfInt, half
+from relangle.states import GenericState
 from relangle.estimator import (
     BlockPovm,
     PovmSpec,
@@ -16,7 +16,6 @@ from relangle.estimator import (
     _lambda_min,
     fidelity,
     fidelity_montecarlo,
-    moment_integrals,
     signal_trig_blocks,
 )
 import relangle.optimizer as optimizer_module
@@ -35,13 +34,17 @@ from relangle.optimizer import (
     optimize_trig_blocks,
     two_term_nu,
 )
-from helpers import block_dims
+from helpers import block_dims, geometry_blocks
 
 THREE_TERM = GenericState.from_dict(0, {0: 0.5, 1: 0.5, 2: math.sqrt(0.5)})
 
 # (a*, F) from optimize_state at its defaults for each j2 of default_sweep_grid(),
 # as returned by the golden-section refinement that preceded the batched bracket
 # search (1001-point grid, golden section to 1e-8); printed with repr() once.
+# F at j2 = 30 and 100 is the nearest float to its 40-digit value at the pinned a*
+# (0.94611599487863143041 and 0.94736952109471712728), from an mpmath evaluation of the
+# Clebsch-Gordan route with exact sympy coefficients; the float route read 1.9e-14 and
+# 2.7e-14 above it there.
 PINNED_OPTIMA = {
     "1/2": (0.6092510254958579, 0.9109224222553606),
     "1": (0.6056721993551222, 0.9201004743959045),
@@ -65,9 +68,9 @@ PINNED_OPTIMA = {
     "10": (0.5966888884458752, 0.9428320156817375),
     "15": (0.596054159943002, 0.9444218839990351),
     "20": (0.595721098806165, 0.9452552781408344),
-    "30": (0.5953768891041162, 0.9461159948786502),
+    "30": (0.5953768891041162, 0.9461159948786314),
     "50": (0.5950930809268953, 0.9468251562991415),
-    "100": (0.5948751081689199, 0.9473695210947439),
+    "100": (0.5948751081689199, 0.9473695210947171),
 }
 
 
@@ -460,12 +463,9 @@ def eigen_fidelity(state, j2):
 
 
 def reference_fidelities(m1, labels, j2, rows):
-    """The amplitude-grid valuation one block after another, in J order."""
-    moments = [moment_integrals(j2, m2) for m2 in m_range(j2)]
-    weights = np.array([(t.P, t.Q, t.R) for t in moments]).T
+    """The amplitude-grid valuation of the same _geometry one block after another, in J order."""
     total = np.zeros(len(rows))
-    for basis, cols in _cg_table(m1, labels, j2).values():
-        g0, g1, g2 = _cg_contract(cols, weights)
+    for basis, (g0, g1, g2) in geometry_blocks(m1, labels, j2).values():
         x = rows[:, [labels.index(j1) for j1 in basis]]
         i, k = np.triu_indices(len(basis))
         total += optimizer_module._block_value((x * x) @ g0.diagonal(), (x * x) @ g1.diagonal(),

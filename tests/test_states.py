@@ -18,9 +18,29 @@ from relangle.states import (
     state_from_text,
     state_to_text,
 )
-from relangle.estimator import fidelity_montecarlo
+from relangle.estimator import fidelity_montecarlo, signal_trig_blocks
 from relangle.optimizer import max_fidelity
-from helpers import blocks_from_full_matrix, coherent_overlap_distribution, max_symmetry_defect
+from helpers import (
+    blocks_from_full_matrix,
+    cg_averaged_state,
+    coherent_overlap_distribution,
+    is_coherent,
+    max_symmetry_defect,
+)
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Record the arguments of every 6j kernel call the multipole table makes."""
+    calls = []
+    real = states._six_j
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(states, "_six_j", counting)
+    return calls
+
 
 STATES = [
     GenericState.parallel(),
@@ -64,9 +84,9 @@ class TestGenericState:
             GenericState.two_term(1.2)
 
     def test_named_preparations(self):
-        assert GenericState.parallel().is_coherent()
+        assert is_coherent(GenericState.parallel())
         anti = GenericState.antiparallel()
-        assert not anti.is_coherent()
+        assert not is_coherent(anti)
         assert anti.amplitude(0) == pytest.approx(1.0 / math.sqrt(2.0))
 
 
@@ -104,26 +124,44 @@ class TestAveragedState:
         assert float(rho.block("3/2")[0, 0]) == pytest.approx(1.0, abs=1e-14)
         assert float(rho.block("1/2")[0, 0]) == pytest.approx(0.0, abs=1e-14)
 
-    def test_cg_columns_built_once(self, monkeypatch):
+    def test_multipole_table_built_once_per_key(self, monkeypatch):
         state = GenericState.from_dict("1/2", {"1/2": 0.8, "3/2": 0.6})
         j2 = half(2)
         povm = max_fidelity(state, j2, certify=False).povm
-        calls = []
-        real = states._cg_column
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(states, "_cg_column", counting)
-        states._cg_table.cache_clear()
+        calls = count_kernel_calls(monkeypatch)
+        states._multipoles.cache_clear()
         averaged_state(state, j2, 0.1)
         assert calls  # the warm-up builds the table
         calls.clear()
         for beta in np.linspace(0.0, math.pi, 20):
             averaged_state(state, j2, beta)
         fidelity_montecarlo(state, j2, povm, 100, 0)
+        signal_trig_blocks(GenericState.from_dict("1/2", {"1/2": 0.6, "3/2": 0.8}), j2)
         assert calls == []
+        averaged_state(state, half(3), 0.1)  # a new key builds its own table
+        assert calls
+
+    @pytest.mark.parametrize("m1, labels", [(0, (0, 1)), ("1/2", ("1/2", "3/2")), (1, (1, 2, 3))])
+    def test_cold_table_cost_does_not_grow_with_j2(self, m1, labels, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        counts = []
+        for j2 in (half(10), half(10 ** 4)):
+            states._multipoles.cache_clear()
+            states._multipoles(half(m1), tuple(map(half, labels)), j2)
+            counts.append(len(calls))
+            calls.clear()
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_matches_clebsch_gordan_route(self, state):
+        for j2 in ("1/2", "1", "7/2", 10, 30, 100):
+            for beta in (0.0, 0.4, 1.9, math.pi):
+                want = cg_averaged_state(state, j2, beta)
+                got = averaged_state(state, j2, beta)
+                assert list(got.blocks) == list(want.blocks)
+                for J, (basis, mat) in want.blocks.items():
+                    assert got.basis(J) == basis
+                    assert np.abs(got.block(J) - mat).max() <= 1e-13
 
     def test_beta_continuity(self):
         state = GenericState.two_term(0.6)

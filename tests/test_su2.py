@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
-from relangle.states import _cg_column
 from relangle.su2 import (
     _highest_weight_vector,
     _jy_eigenbasis,
+    _signed_sqrt,
+    _six_j,
     DomainError,
     HalfInt,
     clebsch_gordan,
@@ -20,6 +21,7 @@ from relangle.su2 import (
     wigner_d_highest,
     wigner_d_matrix,
 )
+from helpers import cg_column
 
 
 def racah_fraction(tj1, tm1, tj2, tm2, tJ, tM):
@@ -39,6 +41,29 @@ def racah_fraction(tj1, tm1, tj2, tm2, tJ, tM):
                 for k in range(max(0, -d, -e), min(a, b, c) + 1))
     # the sign from total < 0: float(total) underflows to 0 at large labels, losing it
     return (-1.0 if total < 0 else 1.0) * math.sqrt(float(pref2 * total * total))
+
+
+def six_j_fraction(tj1, tj2, tj3, tj4, tj5, tj6):
+    """{j1 j2 j3; j4 j5 j6} as the exact signed square sign(6j) 6j^2, by Racah's sum in
+    Fractions and plain factorials, from doubled labels whose four triads are valid."""
+    f = math.factorial
+
+    def delta2(ta, tb, tc):
+        return Fraction(f((ta + tb - tc) // 2) * f((ta - tb + tc) // 2) * f((tb + tc - ta) // 2),
+                        f((ta + tb + tc) // 2 + 1))
+
+    triads = ((tj1, tj2, tj3), (tj1, tj5, tj6), (tj4, tj2, tj6), (tj4, tj5, tj3))
+    a = [sum(t) // 2 for t in triads]
+    b = [(tj1 + tj2 + tj4 + tj5) // 2, (tj2 + tj3 + tj5 + tj6) // 2, (tj3 + tj1 + tj6 + tj4) // 2]
+    total = sum(Fraction((-1) ** t * f(t + 1),
+                         math.prod(f(t - x) for x in a) * math.prod(f(y - t) for y in b))
+                for t in range(max(a), min(b) + 1))
+    return total * abs(total) * math.prod(delta2(*t) for t in triads)
+
+
+def triangle(ta, tb, tc):
+    """Whether doubled labels ta, tb, tc couple: |a - b| <= c <= a + b, a + b + c integral."""
+    return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0
 
 
 def highest_weight_scalar(twice_j, twice_m, beta):
@@ -375,7 +400,7 @@ class TestClebschGordan:
     def test_column_beyond_float_range_of_racah_sum(self, j1, m1, J):
         # at 2j2 = 1040 the integer Racah sums of these columns no longer fit in a float
         j1, m1, j2, J = half(j1), half(m1), half(520), half(J)
-        got = _cg_column(j1, m1, j2, J)
+        got = cg_column(j1, m1, j2, J)
         want = [racah_fraction(j1.twice, m1.twice, j2.twice, m2.twice, J.twice, (m1 + m2).twice)
                 if abs((m1 + m2).twice) <= J.twice else 0.0 for m2 in m_range(j2)]
         assert got.tolist() == want
@@ -389,3 +414,35 @@ class TestClebschGordan:
         s = sum(clebsch_gordan(j1, m1, j2, M - m1, J, M) ** 2
                 for m1 in m_range(j1) if abs((M - m1).twice) <= j2.twice)
         assert s == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSixJ:
+    @staticmethod
+    def reference_labels(tj2):
+        """(j1, j1', K, j2, j2, J) doubled, as the multipole table uses them: j1, j1' <= 3."""
+        for tj1 in range(7):
+            for tj1p in range(tj1 % 2, 7, 2):
+                for tk in range(abs(tj1 - tj1p), min(tj1 + tj1p, 2 * tj2) + 1, 2):
+                    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                        if triangle(tj1p, tj2, tJ):
+                            yield tj1, tj1p, tk, tj2, tj2, tJ
+
+    def test_matches_fraction_racah_sum_exactly(self):
+        # 2j2 = 1040 takes the plain factorials of the reference far beyond float range
+        checked = 0
+        for tj2 in [*range(121), 1040]:
+            for labels in self.reference_labels(tj2):
+                assert Fraction(*_six_j(*labels)) == six_j_fraction(*labels), labels
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("tj1, tj1p, tj2", [(2, 2, 7), (3, 5, 20), (4, 6, 201), (1, 3, 20000)])
+    def test_orthogonality(self, tj1, tj1p, tj2):
+        # sum_K (2K+1)(2J+1) {j1 j1' K; j2 j2 J} {j1 j1' K; j2 j2 J'} = delta_{J J'}
+        Js = [tJ for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2) if triangle(tj1p, tj2, tJ)]
+        ks = [tk for tk in range(abs(tj1 - tj1p), tj1 + tj1p + 1, 2) if tk <= 2 * tj2]
+        for tJ in Js:
+            for tJp in Js:
+                total = sum((tk + 1) * (tJ + 1) * _signed_sqrt(*_six_j(tj1, tj1p, tk, tj2, tj2, tJ))
+                            * _signed_sqrt(*_six_j(tj1, tj1p, tk, tj2, tj2, tJp)) for tk in ks)
+                assert total == pytest.approx(1.0 if tJ == tJp else 0.0, abs=1e-14)
