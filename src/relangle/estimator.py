@@ -120,18 +120,16 @@ class TrigBlocks:
                                  for (J, basis), (_, view) in zip(self.bases.items(), views)})
 
 
-@lru_cache(maxsize=None)
-def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
-    """Amplitude-independent A(mu) coefficients of every block, grouped by dimension.
+def _table_geometry(table: Mapping, js: tuple[HalfInt, ...]):
+    """A multipole table's amplitude-independent A(mu) coefficients, grouped by block dimension.
 
-    Returns the basis of each J in J order and, per block dimension d, the
-    places of its blocks in that order, their (n, d) label positions in js
-    and their (3, n, d, d) k0, k1, k2 coefficients.  Against the sin(beta)/2 prior and
+    Returns the basis of each block in the table's order and, per block dimension d, the
+    places of its blocks in that order, their (n, d) label positions in js and their
+    read-only (3, n, d, d) k0, k1, k2 coefficients.  Against the sin(beta)/2 prior and
     the utility (1 + cos mu cos beta + sin mu sin beta)/2, the multipole stack c gives
     k0 = c_0/2, k2 = c_1/6 and k1 = sum_K q_K c_K, q_K = (1/4) int sqrt(1 - u^2) P_K(u) du:
     0 for odd K, and -(pi/8) [binom(2n, n) / 4^n]^2 / ((2n - 1)(n + 1)) for K = 2n.
     """
-    table = _multipoles(m1, js, j2)
     block_bases, multipoles = zip(*table.values())
     w = np.zeros((3, len(multipoles[0])))  # rows k0, k1, k2 over K
     w[0, 0], w[2, 1:2] = 0.5, 1.0 / 6.0
@@ -143,24 +141,31 @@ def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
         # multiplied out before the sum over K, so each (d, d) coefficient is exactly symmetric
         coeffs = (w[:, None, :, None, None] * np.array([multipoles[p] for p in places])).sum(axis=2)
         for arr in (idx, coeffs):
-            arr.flags.writeable = False  # cached: shared by every caller
+            arr.flags.writeable = False  # _geometry caches them: shared by every caller
         stacks[d] = (tuple(places), idx, coeffs)
     return dict(zip(table, block_bases)), stacks
 
 
-def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:
-    """A(mu) coefficient blocks for the rotation-averaged signal state.
+@lru_cache(maxsize=None)
+def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
+    """_table_geometry of the rotation-averaged signal's multipole table, keyed by J."""
+    return _table_geometry(_multipoles(m1, js, j2), js)
 
-    Each block dimension is one outer product of the amplitudes and one
-    multiply with the cached geometry.
-    """
-    bases, geo = _geometry(state.m1, state.j_labels, half(j2))
+
+def _trig_blocks(state: GenericState, bases, geometry) -> TrigBlocks:
+    """The family of a _table_geometry for this state: per block dimension, one outer product
+    of the amplitudes and one multiply."""
     amps = state.amplitude_vector
     stacks = {}
-    for d, (places, idx, coeffs) in geo.items():
+    for d, (places, idx, coeffs) in geometry.items():
         x = amps[idx]
         stacks[d] = (places, (x[:, :, None] * x[:, None, :]) * coeffs)
     return TrigBlocks(bases, stacks)
+
+
+def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:
+    """A(mu) coefficient blocks for the rotation-averaged signal state, from the cached geometry."""
+    return _trig_blocks(state, *_geometry(state.m1, state.j_labels, half(j2)))
 
 
 def a_operator(state: GenericState, j2: HalfInt, mu: float) -> BlockedOperator:

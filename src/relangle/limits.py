@@ -8,61 +8,27 @@ coherences across j1; the block pairing is m = J - j2.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .su2 import DomainError, HalfInt, half, m_range, wigner_d_matrix
-from .states import BlockedOperator, GenericState, _m_index, averaged_state, check_beta
-from .estimator import TrigBlock, TrigBlocks
+from .su2 import HalfInt, half
+from .states import (BlockedOperator, GenericState, _classical_multipoles, _table_at, averaged_state,
+                     check_beta)
+from .estimator import TrigBlocks, _table_geometry, _trig_blocks
 from .optimizer import OptimizationResult, _max_fidelity_value, _search, optimize_trig_blocks
-
-_QUAD_NODES = 200
-
-
-def _sigma_columns(state: GenericState, betas) -> dict[HalfInt, tuple[tuple[HalfInt, ...], np.ndarray]]:
-    """Per weight m: labels j >= |m| and a_j d^j_{m m1}(beta) over them, (dim, n); one d call per label."""
-    cols = {j: a * wigner_d_matrix(j, betas)[:, :, _m_index(j, state.m1)]
-            for j, a in state.amplitudes}
-    out = {}
-    for m in m_range(max(state.j_labels, key=lambda j: j.twice)):
-        basis = tuple(j for j in state.j_labels if abs(m.twice) <= j.twice)
-        out[m] = (basis, np.array([cols[j][:, _m_index(j, m)] for j in basis]))
-    return out
 
 
 def classical_sigma(state: GenericState, beta: float) -> BlockedOperator:
-    """<j' m|sigma(beta)|j m> = a_{j'} a_j d^{j'}_{m m1}(beta) d^{j}_{m m1}(beta)."""
+    """<j' m|sigma(beta)|j m> = a_{j'} a_j d^{j'}_{m m1}(beta) d^j_{m m1}(beta), by the classical table."""
     check_beta(beta)
-    out = BlockedOperator()
-    for m, (basis, amp_d) in _sigma_columns(state, beta).items():
-        out.blocks[m] = (basis, np.outer(amp_d[:, 0], amp_d[:, 0]))
-    return out
-
-
-def _cg_contract(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_n w(n) cols[i, n] cols[k, n] per row of w; multiplied out first, so exactly symmetric."""
-    return (cols[:, None, :] * cols[None, :, :] * w[..., None, None, :]).sum(axis=-1)
-
-
-@lru_cache(maxsize=None)
-def _quadrature() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [0, pi] and their k0, k1, k2 weight rows, built once on first use."""
-    nodes, weights = leggauss(_QUAD_NODES)
-    betas = (nodes + 1.0) * (math.pi / 2.0)
-    sb = np.sin(betas)
-    # rows: the node weights of k0, k1 (sin mu) and k2 (cos mu) against the sin(beta)/2 prior
-    return betas, weights * (math.pi / 2.0) * np.stack([sb, sb * sb, np.cos(betas) * sb]) / 4.0
+    return _table_at(state, _classical_multipoles(state.m1, state.j_labels), beta)
 
 
 def classical_trig_blocks(state: GenericState) -> TrigBlocks:
-    """A(mu) coefficients for the classical task, by Gauss-Legendre quadrature."""
-    betas, w = _quadrature()
-    return TrigBlocks.of({m: TrigBlock(basis, *_cg_contract(amp_d, w))
-                          for m, (basis, amp_d) in _sigma_columns(state, betas).items()})
+    """A(mu) coefficients for the classical task, from the classical multipole table."""
+    return _trig_blocks(state, *_table_geometry(_classical_multipoles(state.m1, state.j_labels),
+                                                state.j_labels))
 
 
 def classical_fidelity(state: GenericState) -> OptimizationResult:
@@ -77,20 +43,12 @@ def asymptotic_deviation(state: GenericState, j2: HalfInt, beta: float) -> float
     sigma = classical_sigma(state, beta)
     worst = 0.0
     for J, (basis, mat) in rho.blocks.items():
-        m = J - j2
-        if m not in sigma.blocks:
-            raise DomainError(f"quantum block J={J} has no classical partner m={m}")
-        s_basis, s_mat = sigma.blocks[m]
-        missing = [j for j in basis if j not in s_basis]
-        if missing:
-            raise DomainError(f"label {missing[0]} missing from classical block m={m}")
+        # sigma's block J - j2 holds J's basis (each j1 there has |J - j2| <= j1), maybe more; in
+        # the limit the coupled basis's Clebsch-Gordan phases give each row (-1)^{j - m1}
+        s_basis, s_mat = sigma.blocks[J - j2]
         idx = [s_basis.index(j) for j in basis]
-        sub = s_mat[np.ix_(idx, idx)]
-        # coupled-basis Clebsch-Gordan phases contribute (-1)^{j - m1} per row
-        # in the limit, so off-diagonals flip sign relative to sigma's basis
         signs = np.array([(-1.0) ** ((j.twice - state.m1.twice) // 2) for j in basis])
-        sub = sub * np.outer(signs, signs)
-        worst = max(worst, float(np.abs(mat - sub).max()))
+        worst = max(worst, float(np.abs(mat - s_mat[np.ix_(idx, idx)] * np.outer(signs, signs)).max()))
     return worst
 
 

@@ -186,9 +186,46 @@ def _multipoles(m1: HalfInt, labels: tuple[HalfInt, ...],
     return table
 
 
+@lru_cache(maxsize=None)
+def _classical_multipoles(m1: HalfInt,
+                          labels: tuple[HalfInt, ...]) -> dict[HalfInt, tuple[tuple[HalfInt, ...], np.ndarray]]:
+    """Per weight m of m_range(max label): its basis {j >= |m|} and read-only (deg+1, d, d) stack c.
+
+    The classical limit's block m is a a^T o sum_K P_K(cos beta) c_K, deg = 2 max j, by the
+    Clebsch-Gordan series of d^{j'}_{m m1} d^j_{m m1} = (-1)^(m-m1) d^{j'}_{m m1} d^j_{-m,-m1}:
+    c_K(j', j) = (-1)^(m-m1) <j' m j -m|K 0> <j' m1 j -m1|K 0>, symmetric, one exact ratio's root.
+    """
+    tm1, deg = m1.twice, max(j.twice for j in labels)
+    table = {}
+    for m in m_range(HalfInt(deg)):
+        basis = tuple(j for j in labels if abs(m.twice) <= j.twice)
+        sign = ((-1) ** ((m.twice - tm1) // 2), 1)
+        c = np.zeros((deg + 1, len(basis), len(basis)))
+        for i, k in zip(*np.triu_indices(len(basis))):
+            tj, tjp = basis[i].twice, basis[k].twice
+            for K in range(abs(tj - tjp) // 2, (tj + tjp) // 2 + 1):
+                factors = (sign, _racah(tj, m.twice, tjp, -m.twice, 2 * K, 0),
+                           _racah(tj, tm1, tjp, -tm1, 2 * K, 0))
+                c[K, i, k] = c[K, k, i] = _signed_sqrt(*map(math.prod, zip(*factors)))
+        c.flags.writeable = False  # cached: shared by every caller
+        table[m] = (basis, c)
+    return table
+
+
 def _m_index(j: HalfInt, m: HalfInt) -> int:
     """Position of weight m in m_range(j)."""
     return (j.twice + m.twice) // 2
+
+
+def _table_at(state: GenericState, table: dict, beta: float) -> BlockedOperator:
+    """A multipole table's blocks at beta: a a^T o sum_K P_K(cos beta) c_K, for _multipoles and
+    _classical_multipoles alike; multiplied out before the sum, so each block is exactly symmetric."""
+    out = BlockedOperator()
+    for key, (basis, c) in table.items():
+        amps = np.array([state.amplitude(j1) for j1 in basis])
+        legendre = legvander(math.cos(beta), len(c) - 1)[0, :, None, None]
+        out.blocks[key] = (basis, np.outer(amps, amps) * (legendre * c).sum(axis=0))
+    return out
 
 
 def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOperator:
@@ -200,13 +237,7 @@ def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOper
     check_beta(beta)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
-    out = BlockedOperator()
-    for J, (basis, c) in _multipoles(state.m1, state.j_labels, j2).items():
-        amps = np.array([state.amplitude(j1) for j1 in basis])
-        legendre = legvander(math.cos(beta), len(c) - 1)[0, :, None, None]
-        # multiplied out before the sum, so each block is exactly symmetric
-        out.blocks[J] = (basis, np.outer(amps, amps) * (legendre * c).sum(axis=0))
-    return out
+    return _table_at(state, _multipoles(state.m1, state.j_labels, j2), beta)
 
 
 # ---------------------------------------------------------------------------

@@ -199,9 +199,9 @@ def _log_binom(twice_j: int) -> np.ndarray:
 def _highest_weight_vector(j: HalfInt, beta: float) -> np.ndarray:
     """d^j_{m,j}(beta) over m = -j..j, the rotated highest-weight state.
 
-    Closed form sqrt(binom(2j, j+m)) cos^{j+m}(beta/2) sin^{j-m}(beta/2),
-    assembled in log space to dodge overflow of binom(200, 100); free of the
-    alternating sum, so it stays accurate up to j ~ 100.  A positive power of
+    Closed form sqrt(binom(2j, j+m)) cos^{j+m}(beta/2) sin^{j-m}(beta/2), in log space
+    against overflow of binom(200, 100); exp amplifies the rounding of exponents of tens,
+    so large entries are off by up to 1e-13 relative at 2j = 132-200.  A positive power of
     an exact-zero cos or sin is masked to 0, so no 0 * log 0 is formed.  A
     non-finite beta raises DomainError.
     """

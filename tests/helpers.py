@@ -1,6 +1,7 @@
 """Reference code that only the tests use: block dimensions, a symmetry measure, coherent-state
-outcome probabilities, the reduction of a product-space operator to J blocks, and the
-Clebsch-Gordan route to the rotation average that the multipole table replaced."""
+outcome probabilities, the reduction of a product-space operator to J blocks, and the two routes
+that the multipole tables replaced: Clebsch-Gordan contractions for the rotation average and a
+Gauss-Legendre quadrature over Wigner-d columns for the classical limit."""
 from __future__ import annotations
 
 import math
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from relangle.su2 import (
     DomainError,
@@ -18,16 +20,17 @@ from relangle.su2 import (
     check_jm,
     half,
     m_range,
+    wigner_d_matrix,
 )
 from relangle.states import (
     BlockedOperator,
     GenericState,
+    _m_index,
     averaged_state,
     coupled_basis_matrix,
     coupling_structure,
 )
-from relangle.estimator import _geometry
-from relangle.limits import _cg_contract
+from relangle.estimator import TrigBlock, TrigBlocks, _geometry
 
 
 def block_dims(state: GenericState, j2: HalfInt) -> dict[HalfInt, int]:
@@ -77,6 +80,11 @@ def is_coherent(state: GenericState) -> bool:
 
 # ---------------------------------------------------------------------------
 # the Clebsch-Gordan route: every rotation average as a contraction over m2
+
+def _cg_contract(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_n w(n) cols[i, n] cols[k, n] per row of w; multiplied out first, so exactly symmetric."""
+    return (cols[:, None, :] * cols[None, :, :] * w[..., None, None, :]).sum(axis=-1)
+
 
 def cg_column(j1: HalfInt, m1: HalfInt, j2: HalfInt, J: HalfInt) -> np.ndarray:
     """C^{J, m1+m2}_{j1 m1, j2 m2} over m2 = -j2..j2 (0 outside |M| <= J)."""
@@ -145,3 +153,43 @@ def cg_averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedO
         amps = np.array([state.amplitude(j1) for j1 in basis])
         out.blocks[J] = (basis, np.outer(amps, amps) * _cg_contract(cols, dsq))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the quadrature route: the classical task over Wigner-d columns at Gauss-Legendre nodes
+
+QUAD_NODES = 200
+
+
+def sigma_columns(state: GenericState, betas) -> dict[HalfInt, tuple[tuple[HalfInt, ...], np.ndarray]]:
+    """Per weight m: labels j >= |m| and a_j d^j_{m m1}(beta) over them, (dim, n); one d call per label."""
+    cols = {j: a * wigner_d_matrix(j, betas)[:, :, _m_index(j, state.m1)]
+            for j, a in state.amplitudes}
+    out = {}
+    for m in m_range(max(state.j_labels, key=lambda j: j.twice)):
+        basis = tuple(j for j in state.j_labels if abs(m.twice) <= j.twice)
+        out[m] = (basis, np.array([cols[j][:, _m_index(j, m)] for j in basis]))
+    return out
+
+
+def quadrature_sigma(state: GenericState, beta: float) -> BlockedOperator:
+    """classical_sigma as outer products of d columns: a_{j'} a_j d^{j'}_{m m1}(beta) d^j_{m m1}(beta)."""
+    return BlockedOperator({m: (basis, np.outer(amp_d[:, 0], amp_d[:, 0]))
+                            for m, (basis, amp_d) in sigma_columns(state, beta).items()})
+
+
+@lru_cache(maxsize=None)
+def quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [0, pi] and their k0, k1, k2 weight rows."""
+    nodes, weights = leggauss(QUAD_NODES)
+    betas = (nodes + 1.0) * (math.pi / 2.0)
+    sb = np.sin(betas)
+    # rows: the node weights of k0, k1 (sin mu) and k2 (cos mu) against the sin(beta)/2 prior
+    return betas, weights * (math.pi / 2.0) * np.stack([sb, sb * sb, np.cos(betas) * sb]) / 4.0
+
+
+def quadrature_trig_blocks(state: GenericState) -> TrigBlocks:
+    """classical_trig_blocks by Gauss-Legendre quadrature of the d columns."""
+    betas, w = quadrature()
+    return TrigBlocks.of({m: TrigBlock(basis, *_cg_contract(amp_d, w))
+                          for m, (basis, amp_d) in sigma_columns(state, betas).items()})

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import relangle
 
 
@@ -6,3 +11,16 @@ def test_all_names_resolve_once():
     assert len(set(relangle.__all__)) == len(relangle.__all__)
     missing = [name for name in relangle.__all__ if not hasattr(relangle, name)]
     assert missing == []
+
+
+def test_import_builds_no_table():
+    # the multipole tables and the geometry are built on first use, so no cold start pays for them
+    src = str(Path(relangle.__file__).resolve().parents[1])
+    code = ("import relangle\n"
+            "from relangle import estimator, states\n"
+            "print([f.cache_info().currsize for f in (states._multipoles, estimator._geometry,"
+            " states._classical_multipoles)])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[0, 0, 0]"
