@@ -20,8 +20,10 @@ from .su2 import DomainError, HalfInt, half
 from .states import BlockedOperator, GenericState, _multipoles, check_samples, check_seed, coupling_structure
 
 _PSD_TOL = 1e-12
-# Chebyshev-term entries fidelity_montecarlo holds at once; 2**16 keeps its buffers in cache
-_MC_CHUNK_ELEMENTS = 2 ** 16
+# Chebyshev-term entries of one fidelity_montecarlo chunk, so 2**15 // (deg+1) samples.  With
+# every per-sample buffer, about 90 bytes a sample at deg 2 and four outcomes, that is about
+# 1 MB, in L2; in process 2**15 ran faster than 2**13, 2**14 and 2**16.
+_MC_CHUNK_ELEMENTS = 2 ** 15
 
 
 class StructureMismatchError(ValueError):
@@ -241,13 +243,21 @@ class PovmSpec:
                 raise error(message.format(J=J))
 
 
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The dim x dim identity, read-only: every validate shares it."""
+    out = np.eye(dim)
+    out.flags.writeable = False
+    return out
+
+
 def _failed_check(blocks: list[BlockPovm]) -> tuple[type, str] | None:
     """The error and message of the first check that some of these same-shape blocks fail."""
     mus = np.array([block.mus for block in blocks])
     els = np.array([block.elements for block in blocks])
     if not (np.isfinite(mus).all() and np.isfinite(els).all()):
         return DomainError, "block J={J} has a non-finite estimate or element entry"
-    if np.abs(els.sum(axis=1) - np.eye(els.shape[-1])).max() > _PSD_TOL:
+    if np.abs(els.sum(axis=1) - _identity(els.shape[-1])).max() > _PSD_TOL:
         return StructureMismatchError, "block J={J} elements do not sum to identity"
     if els.shape[1] > 1:  # a lone element equal to the identity is PSD
         sym = (els + els.swapaxes(2, 3)) / 2.0
@@ -299,12 +309,15 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
 
     Draws beta from the sin(beta)/2 prior, picks an outcome from the exact
     per-outcome probabilities, and averages the utility of the outcome's
-    estimate.  Deterministic for fixed (seed, samples).  Each probability is a
-    Chebyshev series of degree deg = min(2 max j1, 2j2) in cos(beta), so the cost
-    is O(samples * (deg+1) * outcomes) plus O(outcomes * (deg+1) * d^2) per call
-    for blocks of dimension d, and none in j2 once the multipole table is cached:
-    per chunk of max(1, 2**16 // (deg+1)) samples, the T_0..T_deg recurrence and
-    one matrix product, into two buffers allocated once per call.
+    estimate.  Deterministic for fixed (seed, samples): u = cos(beta) and the
+    picks are the draws of default_rng(seed).uniform(-1, 1, samples) and then
+    .uniform(0, 1, samples).  Each probability is a Chebyshev series of degree
+    deg = min(2 max j1, 2j2) in cos(beta), so the cost is O(samples * (deg+1) *
+    outcomes) plus O(outcomes * (deg+1) * d^2) per call for blocks of dimension
+    d, and none in j2 once the multipole table is cached.  Samples go in chunks
+    of max(1, _MC_CHUNK_ELEMENTS // (deg+1)); every per-sample array is a
+    chunk-sized buffer allocated once per call and filled in place, so memory
+    does not grow with the sample count.
     """
     j2 = half(j2)
     check_samples(samples)
@@ -312,33 +325,52 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     povm.validate({J: len(basis) for J, basis in coupling_structure(state, j2)})
     mus, series = _outcome_series(state, j2, povm)
     cos_mu, sin_mu = np.cos(mus), np.sin(mus)
+    outcomes, terms = series.shape
 
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-1.0, 1.0, samples)  # cos(beta), the prior in disguise
-    pick = rng.uniform(0.0, 1.0, samples)
+    # u comes from the stream's first `samples` doubles, the picks from the next ones
+    u_rng = np.random.Generator(np.random.PCG64(seed))
+    pick_rng = np.random.Generator(np.random.PCG64(seed).advance(samples))
     total = total_sq = 0.0  # running sums of the utility and its square
-    chunk = min(samples, max(1, _MC_CHUNK_ELEMENTS // series.shape[1]))
-    # buffers every chunk reuses: T_0..T_deg at the chunk's u, cumulative p_o
-    cheb, cum = np.ones((series.shape[1], chunk)), np.empty((len(mus), chunk))
+    chunk = min(samples, max(1, _MC_CHUNK_ELEMENTS // terms))
+    # T_0..T_deg at the chunk's u (row 1, T_1, is u itself; a row past T_deg is never read),
+    # cumulative p_o, and per sample the pick, sin(beta), the utility, a mask and the outcome
+    cheb, cum = np.ones((max(terms, 2), chunk)), np.empty((outcomes, chunk))
+    pick_buf, sin_buf, util_buf = np.empty((3, chunk))
+    hit_buf, idx_buf = np.empty(chunk, dtype=bool), np.empty(chunk, dtype=np.intp)
     for lo in range(0, samples, chunk):
-        uc = u[lo:lo + chunk]
-        tk, cm = cheb[:, :uc.size], cum[:, :uc.size]
-        tk[1:2] = uc  # T_0 stays 1; a series of degree 0 has no T_1
-        for k in range(2, len(tk)):  # T_k = 2u T_{k-1} - T_{k-2}
-            np.multiply(uc, tk[k - 1], out=tk[k])
+        n = min(chunk, samples - lo)
+        tk, cm = cheb[:, :n], cum[:, :n]
+        u, pick, sin_b, util, hit, idx = (buf[:n] for buf in (cheb[1], pick_buf, sin_buf,
+                                                               util_buf, hit_buf, idx_buf))
+        u_rng.random(out=u)  # cos(beta), the prior in disguise
+        u *= 2.0
+        u -= 1.0
+        pick_rng.random(out=pick)
+        for k in range(2, terms):  # T_k = 2u T_{k-1} - T_{k-2}
+            np.multiply(u, tk[k - 1], out=tk[k])
             tk[k] *= 2.0
             tk[k] -= tk[k - 2]
-        np.maximum(np.matmul(series, tk, out=cm), 0.0, out=cm)
-        for o in range(1, len(mus)):  # row by row: cumsum along a short axis is slow
+        np.maximum(np.matmul(series, tk[:terms], out=cm), 0.0, out=cm)
+        for o in range(1, outcomes):  # row by row: cumsum along a short axis is slow
             cm[o] += cm[o - 1]
-        draw = pick[lo:lo + chunk] * cm[-1]
-        idx = np.zeros(uc.size, dtype=np.intp)
-        for o in range(len(mus) - 1):  # the draw never passes the last row's total
-            idx += draw > cm[o]
-        sin_b = np.sqrt(np.maximum(1.0 - uc * uc, 0.0))
-        utils = 0.5 * (1.0 + cos_mu[idx] * uc + sin_mu[idx] * sin_b)
-        total += float(utils.sum())
-        total_sq += float(utils @ utils)
+        pick *= cm[-1]  # the draw, below the last row's total: the outcome is the rows it passes
+        np.greater(pick, cm[0], out=idx)
+        for o in range(1, outcomes - 1):
+            idx += np.greater(pick, cm[o], out=hit)
+        np.multiply(u, u, out=sin_b)  # u lies in [-1, 1), so 1 - u^2 never rounds below 0
+        np.subtract(1.0, sin_b, out=sin_b)
+        np.sqrt(sin_b, out=sin_b)
+        # (1 + cos mu u) + sin mu sin(beta), then halved, in this order: at two samples the
+        # variance cancels, so a reordered sum would move the stderr
+        np.take(cos_mu, idx, out=util, mode="clip")  # idx is in range; "raise" would buffer out
+        util *= u
+        util += 1.0
+        np.take(sin_mu, idx, out=pick, mode="clip")  # the pick is spent: its buffer is scratch
+        pick *= sin_b
+        util += pick
+        util *= 0.5
+        total += float(util.sum())
+        total_sq += float(util @ util)
     est = total / samples
     var = max(total_sq - samples * est * est, 0.0) / (samples - 1)
     return est, math.sqrt(var / samples)

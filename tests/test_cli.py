@@ -186,6 +186,18 @@ class TestMonteCarlo:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
+    def test_pinned_line(self, tmp_path, monkeypatch, capsys):
+        # the draws and their order are part of the output: commit 76b0e25, which drew
+        # both uniforms as whole arrays, printed this line byte for byte
+        (tmp_path / "mc_state.txt").write_text(
+            "m1=0\nj1=0 a=0.9468264593112083\nj1=1 a=-0.32174470616965983\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["montecarlo", "--j2", "10", "--state", "mc_state.txt",
+                     "--samples", "20000", "--seed", "123"]) == 0
+        assert capsys.readouterr().out == (
+            "j2=10 state=mc_state.txt samples=20000 seed=123 F_exact=0.9054003019 "
+            "F_mc=0.9059780588 stderr=0.0007641779892 z=0.7560501106\n")
+
 
 class TestErrorHandling:
     def test_invalid_j2_exits_one(self, capsys):

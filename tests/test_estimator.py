@@ -355,12 +355,13 @@ class TestFidelity:
             fidelity(GenericState.parallel(), "1/2", povm)
 
 
-def montecarlo_reference(state, j2, povm, samples, seed):
+def montecarlo_reference(state, j2, povm, samples, seed, skew=0):
     """fidelity_montecarlo as it was before its chunks became two matrix products.
 
     The reference the GEMM form must match to rounding: the same draws in the
     same order, chunks of 2**18 // (2j2+1) samples, log d^2 as one broadcast
-    sum, and a cumsum over the outcome axis.
+    sum, and a cumsum over the outcome axis.  A nonzero skew takes the picks
+    that many draws further along the stream, out of step with the u's.
     """
     j2 = half(j2)
     table = cg_table(state.m1, state.j_labels, j2)
@@ -377,6 +378,7 @@ def montecarlo_reference(state, j2, povm, samples, seed):
     b_pow = a_pow[::-1]
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, samples)
+    rng.random(skew)
     pick = rng.uniform(0.0, 1.0, samples)
     total = total_sq = 0.0
     chunk = max(1, 2 ** 18 // (j2.twice + 1))
@@ -415,6 +417,13 @@ REFERENCE_STATES = {
     "m1_one": GenericState.from_dict(1, {1: math.cos(0.4), 2: math.sin(0.4)}),
 }
 
+# (state, j2) whose outcome probabilities are series of degree 0, 1 and 2 in cos(beta)
+CHUNK_CASES = {
+    "0": (GenericState.from_dict(0, {0: 1.0}), "10"),
+    "1": (REFERENCE_STATES["two_term"], "1/2"),
+    "2": (REFERENCE_STATES["two_term"], "10"),
+}
+
 
 class TestFidelityMonteCarlo:
     @pytest.mark.parametrize("name", sorted(REFERENCE_STATES))
@@ -433,6 +442,35 @@ class TestFidelityMonteCarlo:
             est, err = fidelity_montecarlo(THREE_TERM, 1, povm, samples, seed=4)
             want_est, want_err = montecarlo_reference(THREE_TERM, 1, povm, samples, seed=4)
             assert abs(est - want_est) <= 1e-14 and abs(err - want_err) <= 1e-15
+
+    @pytest.mark.parametrize("degree", sorted(CHUNK_CASES))
+    def test_matches_reference_at_chunk_boundaries(self, degree):
+        state, j2 = CHUNK_CASES[degree]
+        povm = max_fidelity(state, j2, certify=False).povm
+        chunk = chunk_samples(state, j2)
+        for samples in (chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+            est, err = fidelity_montecarlo(state, j2, povm, samples, seed=3)
+            want_est, want_err = montecarlo_reference(state, j2, povm, samples, seed=3)
+            assert abs(est - want_est) <= 1e-14 and abs(err - want_err) <= 1e-15
+
+    def test_matches_reference_at_chunk_boundaries_three_outcomes(self):
+        povm = three_term_povm(three_outcome_block())
+        chunk = chunk_samples(THREE_TERM, 1)
+        for samples in (chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+            est, err = fidelity_montecarlo(THREE_TERM, 1, povm, samples, seed=8)
+            want_est, want_err = montecarlo_reference(THREE_TERM, 1, povm, samples, seed=8)
+            assert abs(est - want_est) <= 1e-14 and abs(err - want_err) <= 1e-15
+
+    def test_picks_aligned_with_a_ragged_last_chunk(self):
+        # the picks follow all the u's in one stream, whatever the chunks; a pick stream
+        # one draw out of step would pair each u with its neighbour's pick
+        povm = three_term_povm(three_outcome_block())
+        samples = 2 * chunk_samples(THREE_TERM, 1) + 17
+        est, _ = fidelity_montecarlo(THREE_TERM, 1, povm, samples, seed=12)
+        assert abs(est - montecarlo_reference(THREE_TERM, 1, povm, samples, seed=12)[0]) <= 1e-14
+        for skew in (1, 17):
+            off, _ = montecarlo_reference(THREE_TERM, 1, povm, samples, seed=12, skew=skew)
+            assert abs(est - off) > 1e-9
 
     def test_deterministic(self):
         state = GenericState.antiparallel()
@@ -487,7 +525,8 @@ class TestFidelityMonteCarlo:
                 == fidelity_montecarlo(state, "1/2", povm, samples=10, seed=3))
 
     def test_peak_memory_bounded_at_large_j2(self):
-        # one 201 x 60000 float array alone would take about 100 MB
+        # one 201 x 60000 float array alone would take about 100 MB; the chunk buffers
+        # take about 1 MB
         state = GenericState.two_term(0.609)
         povm = max_fidelity(state, 100, certify=False).povm
         fidelity_montecarlo(state, 100, povm, samples=10, seed=0)  # warm the caches
@@ -497,10 +536,11 @@ class TestFidelityMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < 4e6
 
     def test_peak_memory_bounded_at_small_j2(self):
-        # the two per-sample uniforms take 3.2 MB; each chunk's temporaries come on top
+        # every per-sample array is a chunk buffer, about 1.3 MB in all; the two uniforms
+        # drawn whole would take 3.2 MB on their own
         state = GenericState.two_term(0.609)
         povm = max_fidelity(state, "1/2", certify=False).povm
         fidelity_montecarlo(state, "1/2", povm, samples=10, seed=0)  # warm the caches
@@ -510,10 +550,10 @@ class TestFidelityMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10e6
+        assert peak < 2.5e6
 
     def test_peak_memory_bounded_in_samples(self):
-        # the two per-sample uniforms take 16 MB; ten per-sample arrays would take 80 MB
+        # the chunk buffers take about 1 MB; one per-sample array would take 8 MB
         state = GenericState.antiparallel()
         povm = max_fidelity(state, 10, certify=False).povm
         fidelity_montecarlo(state, 10, povm, samples=10, seed=0)  # warm the caches
@@ -523,7 +563,22 @@ class TestFidelityMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 25e6
+        assert peak < 4e6
+
+    def test_peak_memory_flat_in_samples(self):
+        # at j2 = 10 a chunk holds about 10**4 samples, so 10**6 samples add nothing to the buffers
+        state = GenericState.antiparallel()
+        povm = max_fidelity(state, 10, certify=False).povm
+        fidelity_montecarlo(state, 10, povm, samples=10, seed=0)  # warm the caches
+        peaks = []
+        for samples in (10 ** 4, 10 ** 6):
+            tracemalloc.start()
+            try:
+                fidelity_montecarlo(state, 10, povm, samples=samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
 
     def test_several_chunks(self):
         # three whole chunks of samples at j2 = 10 and one more
