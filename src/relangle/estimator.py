@@ -243,21 +243,13 @@ class PovmSpec:
                 raise error(message.format(J=J))
 
 
-@lru_cache(maxsize=None)
-def _identity(dim: int) -> np.ndarray:
-    """The dim x dim identity, read-only: every validate shares it."""
-    out = np.eye(dim)
-    out.flags.writeable = False
-    return out
-
-
 def _failed_check(blocks: list[BlockPovm]) -> tuple[type, str] | None:
     """The error and message of the first check that some of these same-shape blocks fail."""
     mus = np.array([block.mus for block in blocks])
     els = np.array([block.elements for block in blocks])
     if not (np.isfinite(mus).all() and np.isfinite(els).all()):
         return DomainError, "block J={J} has a non-finite estimate or element entry"
-    if np.abs(els.sum(axis=1) - _identity(els.shape[-1])).max() > _PSD_TOL:
+    if np.abs(els.sum(axis=1) - np.eye(els.shape[-1])).max() > _PSD_TOL:
         return StructureMismatchError, "block J={J} elements do not sum to identity"
     if els.shape[1] > 1:  # a lone element equal to the identity is PSD
         sym = (els + els.swapaxes(2, 3)) / 2.0

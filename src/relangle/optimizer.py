@@ -266,9 +266,15 @@ def _search(j2: HalfInt) -> tuple[float, HalfInt, float, float]:
     return a_star, half(1), f_par, f_par
 
 
+def _optimal_preparation(j2: HalfInt) -> tuple[float, HalfInt, GenericState]:
+    """(a_star, winning m1 sector, the winning state) at j2: the two-term state at a_star
+    if m1 = 0 wins, else the parallel state.  Nothing is certified."""
+    a_star, sector, _, _ = _search(j2)
+    return a_star, sector, GenericState.two_term(a_star) if sector == 0 else GenericState.parallel()
+
+
 def optimize_state(j2: HalfInt) -> tuple[float, HalfInt, OptimizationResult]:
     """Best preparation amplitude over the m1=0 two-term family vs the parallel state:
     (a_star, winning m1 sector, result), where only the winner is solved and certified."""
-    a_star, sector, _, _ = _search(j2)
-    state = GenericState.two_term(a_star) if sector == 0 else GenericState.parallel()
+    a_star, sector, state = _optimal_preparation(j2)
     return a_star, sector, max_fidelity(state, j2)

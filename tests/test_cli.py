@@ -1,9 +1,10 @@
+import argparse
 import math
 
 import pytest
 
 import relangle.optimizer as optimizer_module
-from relangle.cli import OUTPUT_DIR_ENV, RunConfig, _resolve_state, main
+from relangle.cli import OUTPUT_DIR_ENV, _resolve_state, build_parser, main
 from relangle.limits import default_sweep_grid
 from relangle.optimizer import (
     helstrom_certificate,
@@ -22,22 +23,72 @@ def read_csv(path):
     return header, rows
 
 
-class TestRunConfig:
-    def test_validates_grid_step(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="fidelity-sweep", j2=half("1/2"), a_grid_step=0.6)
+# the options each command reads, with their defaults; an option a command does not read
+# must not come back, since argparse would accept it and the command would ignore it
+COMMAND_OPTIONS = {
+    "fidelity-sweep": {"--j2": "1/2", "--output": None, "--a-grid-step": 0.01},
+    "optimize": {"--j2": "1/2"},
+    "j2-sweep": {"--output": None},
+    "classical-limit": {"--state": "optimal", "--output": None},
+    "certify": {"--j2": "1/2", "--state": "parallel"},
+    "montecarlo": {"--j2": "1/2", "--state": "optimal", "--samples": 100000, "--seed": 0},
+}
+
+# one option per command that it does not read; each must be a usage error, not ignored
+FORMERLY_IGNORED = [
+    ["optimize", "--state", "parallel"],
+    ["optimize", "--output", "out.csv"],
+    ["j2-sweep", "--j2", "5"],
+    ["j2-sweep", "--state", "parallel"],
+    ["fidelity-sweep", "--state", "parallel"],
+    ["classical-limit", "--j2", "5"],
+    ["certify", "--output", "out.csv"],
+    ["montecarlo", "--output", "out.csv"],
+]
+
+
+class TestOptions:
+    def test_each_command_pins_its_options(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        shape = {name: {opt: action.default
+                        for action in sub._actions if action.dest != "help"
+                        for opt in action.option_strings}
+                 for name, sub in commands.choices.items()}
+        assert shape == COMMAND_OPTIONS
+        assert sum(map(len, shape.values())) == 13
+
+    @pytest.mark.parametrize("argv", FORMERLY_IGNORED, ids=" ".join)
+    def test_option_a_command_does_not_read_exits_two(self, argv, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_validates_grid_step(self, capsys):
+        assert main(["fidelity-sweep", "--a-grid-step", "0.6"]) == 1
+        assert "a_grid_step" in capsys.readouterr().err
 
     def test_validates_mu_grid(self):
-        # the certificate's mu grid is fixed: neither RunConfig nor certify takes one
-        with pytest.raises(TypeError):
-            RunConfig(command="certify", j2=half("1/2"), mu_grid=50)
+        # the certificate's mu grid is fixed: no command takes one
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--mu-grid", "1001"])
         assert exc.value.code == 2
 
-    def test_validates_samples(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="montecarlo", j2=half("1/2"), samples=0)
+    def test_validates_samples(self, capsys):
+        assert main(["montecarlo", "--samples", "0"]) == 1
+        assert "samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fidelity-sweep", "optimize", "certify", "montecarlo"])
+    def test_every_j2_command_rejects_j2_zero(self, command, capsys):
+        # the library takes j2 = 0 and returns the blind guess; the CLI refuses it
+        assert main([command, "--j2", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "at least 1/2" in captured.err and captured.out == ""
 
 
 class TestFidelitySweep:
