@@ -19,7 +19,6 @@ from .states import GenericState, state_from_text
 from .estimator import fidelity_montecarlo
 from .optimizer import (
     UnsupportedBlockError,
-    _amplitude_grid,
     _optimal_preparation,
     max_fidelity,
     optimize_state,
@@ -91,6 +90,11 @@ def _pair_nu(result) -> float:
         if len(spec.mus) == 2:
             return float(spec.mus.min())
     return math.nan
+
+
+def _amplitude_grid(step: float) -> np.ndarray:
+    """0, step, 2 step, ... while below 1 (1e-9 slack for roundoff), then a = 1 exactly once."""
+    return np.append(np.arange(math.ceil(1.0 / step - 1e-9)) * step, 1.0)
 
 
 def _run_fidelity_sweep(args: argparse.Namespace) -> int:

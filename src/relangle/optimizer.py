@@ -1,12 +1,11 @@
-"""Optimal estimates, POVMs and preparation-amplitude search.
+"""Optimal estimates, POVMs and the optimal preparation amplitude.
 
 Every J-block of A(mu) = k0 + sin(mu) k1 + cos(mu) k2 is solved in closed
 form.  Since A(pi - mu) - A(mu) = -2 cos(mu) k2, the best (nu, pi - nu) pair
 measures in the mu-independent eigenbasis of k2 and earns
 tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1, largest at
 nu = atan2(tr k1, ||k2||_1); a 1-dim block is the same formula with a single
-outcome.  No eigensolver is needed for the value, so the preparation search
-values whole amplitude grids in one array pass.  Optimality of a reported POVM
+outcome.  No eigensolver is needed for the value.  Optimality of a reported POVM
 is certified by scanning the minimum eigenvalue of Upsilon - A_mu over a fixed
 1001-point mu grid; every block is 1x1 or 2x2, so that eigenvalue is the entry
 itself for a 1-dim block and (a + c)/2 - hypot((a - c)/2, b) for a 2-dim one,
@@ -41,10 +40,6 @@ CERTIFICATE_PASS = -1e-9
 # sin and cos of the certificate's mu grid, linspace(0, pi, CERTIFICATE_GRID), read-only
 _SIN_MU, _COS_MU = (f(np.linspace(0.0, math.pi, CERTIFICATE_GRID)) for f in (np.sin, np.cos))
 _SIN_MU.flags.writeable = _COS_MU.flags.writeable = False
-# optimize_state: a coarse amplitude grid, then refinement passes that each narrow 500x
-_COARSE_STEP = 0.001
-_REFINE_PASSES = 2
-_REFINE_POINTS = 1001
 # (a, b, c) places of k2 in the solved 1- and 2-dim blocks, built once
 _UPPER = {1: np.triu_indices(1), 2: np.triu_indices(2)}
 _IDENTITY_1 = np.broadcast_to(1.0, (1, 1, 1))  # every 1-dim block's one element, read-only
@@ -213,52 +208,37 @@ def two_term_nu(a: float) -> float:
                      / (8.0 * a * math.sqrt(1.0 - a * a)))
 
 
-def _fidelities(m1: HalfInt, labels: tuple[HalfInt, ...], j2: HalfInt,
-                rows: np.ndarray) -> np.ndarray:
-    """max_fidelity(...).fidelity for each (n, len(labels)) amplitude row at once.
+def _two_term_optimum(j2: HalfInt) -> float:
+    """The amplitude a* of a|0 0> + b|1 0> that maximises F at j2, in closed form.
 
-    One array pass per block dimension; the block values are then added in
-    J order, as max_fidelity adds them.
+    The 1-dim blocks hold label 1 alone and add b^2 times their value.  The 2-dim block has
+    tr k1 > 0 and a k2 with zero diagonal, by parity (<j 0 1 0|j 0> = 0), so its ||k2||_1 is
+    2ab|g2_01|.  With s = (b/a)^2, F(s) = (l0 + l1 s + sqrt(q(s)))/(1 + s), where
+    q = (tr k1)^2 + ||k2||_1^2 = q0 + q1 s + q2 s^2, and F'(s) = 0 iff
+    2(l1 - l0) sqrt(q) = (2 q0 - q1) + (q1 - 2 q2) s: a quadratic in s once squared.  Its real
+    roots, a = 1 and a = 0 are then the only candidates, and the best one is the maximum.
     """
-    bases, stacks = _geometry(m1, labels, j2)
-    values = [None] * len(bases)
-    for d, (places, idx, (g0, g1, g2)) in stacks.items():
-        x = rows[:, idx].transpose(1, 0, 2)  # (blocks, n, d)
-        sq = x * x
-        # one (n, d) @ (d,) product per block, on a matrix laid out as rows[:, labels] lays
-        # out one block's: BLAS results can depend on the layout
-        t0, t1 = ((sq @ g.diagonal(axis1=1, axis2=2)[:, :, None])[..., 0] for g in (g0, g1))
-        # k2's upper-triangle (a, b, c) per block and row; (a,) for a 1-dim block
-        entries = [x[..., i] * x[..., k] * g2[:, i, k, None] for i, k in zip(*_UPPER[d])]
-        for place, value in zip(places, _block_value(t0, t1, *entries)[0]):
-            values[place] = value
-    return sum(values, np.zeros(len(rows)))
-
-
-def _amplitude_grid(step: float) -> np.ndarray:
-    """0, step, 2 step, ... while below 1 (1e-9 slack for roundoff), then a = 1 exactly once."""
-    return np.append(np.arange(math.ceil(1.0 / step - 1e-9)) * step, 1.0)
+    stacks = _geometry(half(0), (half(0), half(1)), j2)[1]
+    g0, g1, g2 = stacks[2][2][:, 0]
+    l0, l1 = g0.diagonal() + [0.0, _block_value(*stacks[1][2][..., 0, 0])[0].sum()]
+    t0, t1 = g1.diagonal()
+    q0, q1, q2 = t0 * t0, 2.0 * t0 * t1 + 4.0 * g2[0, 1] ** 2, t1 * t1
+    dl2, alpha, beta = 4.0 * (l1 - l0) ** 2, 2.0 * q0 - q1, q1 - 2.0 * q2
+    roots = np.roots([dl2 * q2 - beta * beta, dl2 * q1 - 2.0 * alpha * beta, dl2 * q0 - alpha * alpha])
+    # a complex or negative root, clamped, is still an amplitude of the family: never above the maximum
+    s = np.maximum(roots.real, 0.0)
+    a2, b2 = np.append([1.0, 0.0], 1.0 / (1.0 + s)), np.append([0.0, 1.0], s / (1.0 + s))
+    f = a2 * l0 + b2 * l1 + np.sqrt(a2 * a2 * q0 + a2 * b2 * q1 + b2 * b2 * q2)
+    return float(np.sqrt(a2[np.argmax(f)]))
 
 
 def _search(j2: HalfInt) -> tuple[float, HalfInt, float, float]:
-    """(a_star, winning m1 sector, its fidelity, the parallel state's fidelity) at j2: the
-    0.001-step grid over a in [0, 1], then two 1001-point passes that narrow the bracket around
-    the best point to at most 8e-9, keeping the best value seen; ties within 1e-9 go to m1 = 0."""
+    """(a_star, winning m1 sector, its fidelity, the parallel state's fidelity) at j2, with
+    a_star the closed-form maximum over the two-term family; ties within 1e-9 go to m1 = 0."""
     j2 = half(j2)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
-    m1, labels = half(0), (half(0), half(1))
-    grid = _amplitude_grid(_COARSE_STEP)
-    a_star, f_star = 0.0, -math.inf
-    for refine in range(_REFINE_PASSES + 1):
-        if refine:  # the neighbours of the last pass's best point
-            grid = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)],
-                               _REFINE_POINTS)
-        rows = np.stack([grid, np.sqrt(np.maximum(0.0, 1.0 - grid * grid))], axis=1)
-        vals = _fidelities(m1, labels, j2, rows)
-        best = int(np.argmax(vals))
-        if vals[best] > f_star:
-            a_star, f_star = float(grid[best]), vals[best]
+    a_star = _two_term_optimum(j2)
     f0 = _max_fidelity_value(GenericState.two_term(a_star), j2)
     f_par = _max_fidelity_value(GenericState.parallel(), j2)
     if f0 >= f_par - 1e-9:

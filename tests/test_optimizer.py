@@ -24,9 +24,8 @@ from relangle.limits import classical_trig_blocks, default_sweep_grid, sweep_opt
 from relangle.optimizer import (
     CERTIFICATE_PASS,
     UnsupportedBlockError,
-    _amplitude_grid,
     _certificate,
-    _fidelities,
+    _two_term_optimum,
     helstrom_certificate,
     max_fidelity,
     optimal_block,
@@ -34,6 +33,7 @@ from relangle.optimizer import (
     optimize_trig_blocks,
     two_term_nu,
 )
+from relangle.cli import _amplitude_grid
 from helpers import block_dims, geometry_blocks
 
 THREE_TERM = GenericState.from_dict(0, {0: 0.5, 1: 0.5, 2: math.sqrt(0.5)})
@@ -44,7 +44,8 @@ THREE_TERM = GenericState.from_dict(0, {0: 0.5, 1: 0.5, 2: math.sqrt(0.5)})
 # F at j2 = 30 and 100 is the nearest float to its 40-digit value at the pinned a*
 # (0.94611599487863143041 and 0.94736952109471712728), from an mpmath evaluation of the
 # Clebsch-Gordan route with exact sympy coefficients; the float route read 1.9e-14 and
-# 2.7e-14 above it there.
+# 2.7e-14 above it there.  The closed-form root's a* lies within 2.9e-8 of every pinned a*,
+# and F at it within 5.8e-15 of every pinned F: F is flat to roundoff that close to a*.
 PINNED_OPTIMA = {
     "1/2": (0.6092510254958579, 0.9109224222553606),
     "1": (0.6056721993551222, 0.9201004743959045),
@@ -453,15 +454,6 @@ class TestOptimizeState:
             assert result.povm.per_block.keys() == par.povm.per_block.keys()
 
 
-def eigen_fidelity(state, j2):
-    """Sum of block values with ||k2||_1 from eigvalsh, independent of the optimizer."""
-    total = 0.0
-    for blk in signal_trig_blocks(state, half(j2)).blocks.values():
-        t0, t1 = float(np.trace(blk.k0)), float(np.trace(blk.k1))
-        total += t0 + math.hypot(max(t1, 0.0), np.abs(np.linalg.eigvalsh(blk.k2)).sum())
-    return total
-
-
 def reference_fidelities(m1, labels, j2, rows):
     """The amplitude-grid valuation of the same _geometry one block after another, in J order."""
     total = np.zeros(len(rows))
@@ -473,71 +465,13 @@ def reference_fidelities(m1, labels, j2, rows):
     return total
 
 
-class TestBatchedFidelities:
-    @pytest.mark.parametrize("m1, labels", [
-        ("0", ("0", "1")), ("0", ("1", "3")), ("1/2", ("1/2", "3/2")), ("1", ("1", "2")),
-        ("0", ("0", "1", "2")),
-    ])
-    def test_matches_the_per_block_valuation_exactly(self, m1, labels):
-        rng = np.random.default_rng(11)
-        a = np.linspace(0.0, 1.0, 1001)
-        labels = tuple(half(j) for j in labels)
-        for j2 in ("1/2", "2", "15", "75"):
-            if len(labels) == 3 and j2 != "1/2":
-                continue  # larger j2 give this state a 3-dim block
-            rows = rng.normal(size=(300, len(labels)))
-            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-            if len(labels) == 2:
-                rows = np.concatenate([rows, np.stack([a, np.sqrt(1.0 - a * a)], axis=1)])
-            got = _fidelities(half(m1), labels, half(j2), rows)
-            assert np.array_equal(got, reference_fidelities(half(m1), labels, half(j2), rows))
-
-    @pytest.mark.parametrize("j2", ["1/2", "3/2", "7", "50", "100"])
-    def test_two_term_grid_matches_per_state_solve(self, j2):
-        a = np.linspace(0.0, 1.0, 101)
-        rows = np.stack([a, np.sqrt(1.0 - a * a)], axis=1)
-        batched = _fidelities(half(0), (half(0), half(1)), half(j2), rows)
-        assert batched.shape == a.shape
-        for ai, f in zip(a, batched):
-            state = GenericState.two_term(ai)
-            assert f == pytest.approx(max_fidelity(state, j2, certify=False).fidelity, abs=1e-14)
-            assert f == pytest.approx(eigen_fidelity(state, j2), abs=1e-14)
-
-    @pytest.mark.parametrize("m1, labels", [("1/2", ("1/2", "3/2")), ("1", ("1", "2"))])
-    def test_general_rows_match_per_state_solve(self, m1, labels):
-        rng = np.random.default_rng(7)
-        rows = rng.normal(size=(40, 2))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        labels = tuple(half(j) for j in labels)
-        for j2 in ("1/2", "2", "15"):
-            batched = _fidelities(half(m1), labels, half(j2), rows)
-            for row, f in zip(rows, batched):
-                state = GenericState.from_dict(m1, dict(zip(labels, row)))
-                assert f == pytest.approx(max_fidelity(state, j2, certify=False).fidelity,
-                                          abs=1e-14)
-                assert f == pytest.approx(eigen_fidelity(state, j2), abs=1e-14)
-
-
-def search_grids(monkeypatch, j2):
-    """The amplitude grids optimize_state(j2) values, in order, and its a_star."""
-    grids = []
-    evaluate = optimizer_module._fidelities
-
-    def recording(m1, labels, j2, rows):
-        grids.append(rows[:, 0].copy())
-        return evaluate(m1, labels, j2, rows)
-
-    monkeypatch.setattr(optimizer_module, "_fidelities", recording)
-    return grids, optimize_state(j2)[0]
-
-
 class TestSearchParameters:
     # the search's step and tolerance are fixed: optimize_state takes neither
     @pytest.fixture(autouse=True)
     def no_search(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("search ran with a step or tolerance argument")
-        monkeypatch.setattr(optimizer_module, "_fidelities", refuse)
+        monkeypatch.setattr(optimizer_module, "_two_term_optimum", refuse)
 
     @pytest.mark.parametrize("coarse_step", [0.0, -0.1, math.nan, math.inf, 0.6, 2.0])
     def test_rejects_bad_coarse_step(self, coarse_step):
@@ -582,24 +516,47 @@ class TestBatchedSearch:
         (row,) = sweep_optimal_vs_j2(["7/2"])
         assert row.f_opt >= row.f_parallel
 
-    @pytest.mark.parametrize("j2", ["1/2", "7/2", "50", "100"])
-    def test_coarse_pass_then_two_refinements(self, j2, monkeypatch):
-        grids, a_star = search_grids(monkeypatch, j2)
-        assert [g.size for g in grids] == [1001, 1001, 1001]
-        # each refinement spans the neighbours of the previous pass's best point
-        for coarse, fine in zip(grids, grids[1:]):
-            assert fine[0] in coarse and fine[-1] in coarse
-        # the last pass's bracket, one point either side of its best, is at most 8e-9
-        assert 2.0 * np.diff(grids[-1]).max() <= 8e-9 * (1.0 + 1e-6)
-        assert grids[-1][0] <= a_star <= grids[-1][-1]
+
+TWO_TERM = (half(0), (half(0), half(1)))
+ROOT_J2 = default_sweep_grid() + [half(10 ** 3), half(10 ** 4), half(10 ** 6)]
+
+# a* at 40 digits: F(a) rebuilt in mpmath at 50 digits from the exact ratios that su2._racah
+# and su2._six_j return for _multipoles (each entry the square root of one ratio, the k1
+# weights with mpmath's pi), its eigen-decomposed ||k2||_1 included, and dF/da = 0 solved with
+# mpmath.findroot.  The float root read 5.4e-16 and 9.8e-17 from these values.
+A_STAR_40_DIGITS = {
+    "1/2": "0.6092510124428706266574774709491220531640",
+    "100": "0.5948751174787453434122822684055196672106",
+}
+
+
+def two_term_rows(a):
+    a = np.atleast_1d(a)
+    return np.stack([a, np.sqrt(1.0 - a * a)], axis=1)
+
+
+class TestTwoTermOptimum:
+    @pytest.mark.parametrize("j2", ROOT_J2, ids=str)
+    def test_global_maximum_over_the_family(self, j2):
+        grid = two_term_rows(np.linspace(0.0, 1.0, 10 ** 4))
+        at_root = reference_fidelities(*TWO_TERM, j2, two_term_rows(_two_term_optimum(j2)))[0]
+        assert at_root >= reference_fidelities(*TWO_TERM, j2, grid).max() - 1e-15
+
+    @pytest.mark.parametrize("j2", ROOT_J2, ids=str)
+    def test_zero_k2_diagonal_and_positive_trace_k1(self, j2):
+        # one block on both labels; the others hold label 1 alone
+        blocks = geometry_blocks(*TWO_TERM, j2).values()
+        ((_, (_, _, g2)),) = [blk for blk in blocks if len(blk[0]) == 2]
+        assert all(basis == (half(1),) for basis, _ in blocks if len(basis) == 1)
+        assert g2[0, 0] == 0.0 and g2[1, 1] == 0.0
+        assert all(np.all(g1.diagonal() > 0.0) for _, (_, g1, _) in blocks)
+
+    @pytest.mark.parametrize("j2", sorted(A_STAR_40_DIGITS), ids=str)
+    def test_matches_40_digit_value(self, j2):
+        assert abs(_two_term_optimum(half(j2)) - float(A_STAR_40_DIGITS[j2])) <= 1e-12
 
 
 class TestAmplitudeGrid:
-    def test_default_grid_unchanged(self, monkeypatch):
-        # the grid before a = 1 was always included, min(1, i * step) for i <= 1000
-        grid = search_grids(monkeypatch, "1/2")[0][0]
-        assert np.array_equal(grid, np.minimum(1.0, np.arange(1001) * 0.001))
-
     @pytest.mark.parametrize("step", [0.001, 0.01, 0.07, 0.1, 0.25, 0.3, 1.0 / 3.0, 0.4, 0.5])
     def test_endpoints_once_and_increasing(self, step):
         grid = _amplitude_grid(step)
