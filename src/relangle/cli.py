@@ -40,6 +40,10 @@ def _fmt(x: float) -> str:
     return "%.10g" % x
 
 
+def _fmt_certificate(x: float) -> str:
+    return _fmt(round(x, 12) + 0.0)  # 12 decimals: roundoff prints 0, never -0; nan stays nan
+
+
 def _j2(text: str) -> HalfInt:
     """The reference spin; the library would take j2 = 0 and return the blind guess."""
     j2 = HalfInt.parse(text)
@@ -105,7 +109,7 @@ def _run_fidelity_sweep(args: argparse.Namespace) -> int:
     for a in map(float, _amplitude_grid(args.a_grid_step)):
         result = max_fidelity(GenericState.two_term(a), j2, certify=True)
         rows.append([_fmt(a), _fmt(result.fidelity), _fmt(_pair_nu(result)),
-                     _fmt(result.certificate_min_eigenvalue)])
+                     _fmt_certificate(result.certificate_min_eigenvalue)])
     return _emit_csv(args.output, f"fidelity_sweep_j2_{j2.twice}half.csv",
                      ["a", "F", "nu", "certificate_min_eig"], rows)
 
@@ -115,7 +119,7 @@ def _run_optimize(args: argparse.Namespace) -> int:
     a_star, sector, result = optimize_state(j2)
     print(f"j2={j2} a_star={_fmt(a_star)} sector_m1={sector} "
           f"F={_fmt(result.fidelity)} "
-          f"certificate_min_eig={_fmt(result.certificate_min_eigenvalue)}")
+          f"certificate_min_eig={_fmt_certificate(result.certificate_min_eigenvalue)}")
     return 0
 
 
@@ -147,7 +151,7 @@ def _run_certify(args: argparse.Namespace) -> int:
     result = max_fidelity(_resolve_state(args.state, j2), j2)
     status = "pass" if result.certified else "fail"
     print(f"j2={j2} state={args.state} F={_fmt(result.fidelity)} "
-          f"certificate_min_eig={_fmt(result.certificate_min_eigenvalue)} [{status}]")
+          f"certificate_min_eig={_fmt_certificate(result.certificate_min_eigenvalue)} [{status}]")
     return 0 if result.certified else 1
 
 

@@ -154,15 +154,18 @@ def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
     return _table_geometry(_multipoles(m1, js, j2), js)
 
 
-def _trig_blocks(state: GenericState, bases, geometry) -> TrigBlocks:
-    """The family of a _table_geometry for this state: per block dimension, one outer product
-    of the amplitudes and one multiply."""
-    amps = state.amplitude_vector
+def _products(amps: np.ndarray, geometry) -> dict:
+    """A _table_geometry's unchecked stacks d -> (places, k0, k1, k2) for these amplitudes."""
     stacks = {}
     for d, (places, idx, coeffs) in geometry.items():
         x = amps[idx]
         stacks[d] = (places, (x[:, :, None] * x[:, None, :]) * coeffs)
-    return TrigBlocks(bases, stacks)
+    return stacks
+
+
+def _trig_blocks(state: GenericState, bases, geometry) -> TrigBlocks:
+    """The family of a _table_geometry for this state, checked as every family is."""
+    return TrigBlocks(bases, _products(state.amplitude_vector, geometry))
 
 
 def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:

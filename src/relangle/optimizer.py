@@ -30,6 +30,7 @@ from .estimator import (
     _geometry,
     _groups,
     _lambda_min,
+    _products,
     _sym_entries,
     signal_trig_blocks,
 )
@@ -62,41 +63,41 @@ class OptimizationResult:
                 and self.certificate_min_eigenvalue >= CERTIFICATE_PASS)
 
 
-def _check_dims(trig: TrigBlocks) -> None:
-    big = [(places[0], d) for d, (places, _) in trig.stacks.items() if d > 2]
+def _check_dims(bases, stacks) -> None:
+    big = [(places[0], d) for d, (places, _) in stacks.items() if d > 2]
     if big:
         place, d = min(big)
-        raise UnsupportedBlockError(f"block J={list(trig.bases)[place]} has dimension {d}; "
+        raise UnsupportedBlockError(f"block J={list(bases)[place]} has dimension {d}; "
                                     "only dimensions <= 2 are solved")
 
 
 def _block_value(t0, t1, a, b=0.0, c=0.0):
-    """tr k0 + hypot(max(tr k1, 0), ||k2||_1) and nu for k2 = [[a, b], [b, c]], elementwise."""
+    """tr k0 + hypot(t1, ||k2||_1), t1 = max(tr k1, 0), and ||k2||_1 of k2 = [[a, b], [b, c]]."""
     t1 = np.maximum(t1, 0.0)
     norm = np.maximum(np.abs(a + c), np.hypot(a - c, 2.0 * b))  # ||k2||_1; 1-dim: b = c = 0
-    return t0 + np.hypot(t1, norm), np.arctan2(t1, norm)
+    return t0 + np.hypot(t1, norm), t1, norm
 
 
-def _contributions(trig: TrigBlocks) -> tuple[list[float], list]:
-    """Each block's best value tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1 in J order, and
-    (d, places, k2, nu) per dimension.  A block of dimension above 2 raises
-    UnsupportedBlockError naming the first such J."""
-    _check_dims(trig)
-    values, passes = np.zeros(len(trig.bases)), []
-    for d, (places, (k0, k1, k2)) in trig.stacks.items():
-        contrib, nu = _block_value(k0.trace(axis1=1, axis2=2), k1.trace(axis1=1, axis2=2),
-                                   *(k2[:, i, k] for i, k in zip(*_UPPER[d])))
+def _contributions(bases, stacks) -> tuple[list[float], list]:
+    """Each block's value in J order from a family's or _products' stacks, and per dimension
+    (d, places, k2, t1, ||k2||_1) for nu; UnsupportedBlockError names the first J of dimension > 2."""
+    _check_dims(bases, stacks)
+    values, passes = np.zeros(len(bases)), []
+    for d, (places, (k0, k1, k2)) in stacks.items():
+        contrib, t1, norm = _block_value(k0.trace(axis1=1, axis2=2), k1.trace(axis1=1, axis2=2),
+                                         *(k2[:, i, k] for i, k in zip(*_UPPER[d])))
         values[list(places)] = contrib
-        passes.append((d, places, k2, nu))
+        passes.append((d, places, k2, t1, norm))
     return values.tolist(), passes
 
 
 def _solve(trig: TrigBlocks) -> tuple[dict[HalfInt, BlockPovm], dict[HalfInt, float]]:
     """Best measurement and contribution of every block: the k2 eigenvectors with positive
     eigenvalue take nu, the rest pi - nu; a 1-dim block has the one outcome nu or pi - nu."""
-    values, passes = _contributions(trig)
+    values, passes = _contributions(trig.bases, trig.stacks)
     povms = [None] * len(values)
-    for d, places, k2, nu in passes:
+    for d, places, k2, t1, norm in passes:
+        nu = np.arctan2(t1, norm)
         if d == 1:
             mus = np.where(k2[:, 0, 0] > 0.0, nu, math.pi - nu)[:, None]
             elements = [_IDENTITY_1] * len(places)
@@ -147,7 +148,7 @@ def _upsilon(stack: np.ndarray, specs: list[BlockPovm]) -> np.ndarray:
 
 def _certificate(trig: TrigBlocks, povm: PovmSpec) -> float:
     """Minimum eigenvalue of Upsilon - A_mu over all blocks and the mu grid, a pass per dimension."""
-    _check_dims(trig)
+    _check_dims(trig.bases, trig.stacks)
     Js = list(trig.bases)
     lows = []
     for d, (places, stack) in trig.stacks.items():
@@ -189,8 +190,10 @@ def max_fidelity(state: GenericState, j2: HalfInt, certify: bool = True) -> Opti
 
 
 def _max_fidelity_value(state: GenericState, j2: HalfInt) -> float:
-    """max_fidelity(state, j2).fidelity, the same float, with no POVM or certificate built."""
-    return float(sum(_contributions(signal_trig_blocks(state, j2))[0]))
+    """max_fidelity(state, j2).fidelity, the same float, from the cached geometry's unchecked
+    products: a checked state on finite, exactly symmetric coefficients needs no family."""
+    bases, geometry = _geometry(state.m1, state.j_labels, half(j2))
+    return float(sum(_contributions(bases, _products(state.amplitude_vector, geometry))[0]))
 
 
 def two_term_nu(a: float) -> float:
@@ -208,6 +211,16 @@ def two_term_nu(a: float) -> float:
                      / (8.0 * a * math.sqrt(1.0 - a * a)))
 
 
+def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
+    """The real parts of np.roots([a, b, c]), a complex pair's once, free of cancellation."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    q = -(b + math.copysign(math.sqrt(max(disc, 0.0)), b)) / 2.0  # the roots are q/a and c/q
+    # a complex pair's real part is q/a = -b/2a; q = 0 only if b = c = 0, the double root 0
+    return [q / a] if disc < 0.0 or q == 0.0 else [q / a, c / q]
+
+
 def _two_term_optimum(j2: HalfInt) -> float:
     """The amplitude a* of a|0 0> + b|1 0> that maximises F at j2, in closed form.
 
@@ -215,21 +228,25 @@ def _two_term_optimum(j2: HalfInt) -> float:
     tr k1 > 0 and a k2 with zero diagonal, by parity (<j 0 1 0|j 0> = 0), so its ||k2||_1 is
     2ab|g2_01|.  With s = (b/a)^2, F(s) = (l0 + l1 s + sqrt(q(s)))/(1 + s), where
     q = (tr k1)^2 + ||k2||_1^2 = q0 + q1 s + q2 s^2, and F'(s) = 0 iff
-    2(l1 - l0) sqrt(q) = (2 q0 - q1) + (q1 - 2 q2) s: a quadratic in s once squared.  Its real
-    roots, a = 1 and a = 0 are then the only candidates, and the best one is the maximum.
+    2(l1 - l0) sqrt(q) = (2 q0 - q1) + (q1 - 2 q2) s: a quadratic in s once squared.  Its
+    closed-form roots, a = 1 and a = 0 are then the only candidates, and the best is the maximum.
     """
     stacks = _geometry(half(0), (half(0), half(1)), j2)[1]
-    g0, g1, g2 = stacks[2][2][:, 0]
-    l0, l1 = g0.diagonal() + [0.0, _block_value(*stacks[1][2][..., 0, 0])[0].sum()]
-    t0, t1 = g1.diagonal()
-    q0, q1, q2 = t0 * t0, 2.0 * t0 * t1 + 4.0 * g2[0, 1] ** 2, t1 * t1
-    dl2, alpha, beta = 4.0 * (l1 - l0) ** 2, 2.0 * q0 - q1, q1 - 2.0 * q2
-    roots = np.roots([dl2 * q2 - beta * beta, dl2 * q1 - 2.0 * alpha * beta, dl2 * q0 - alpha * alpha])
+    g0, g1, g2 = stacks[2][2][:, 0].tolist()
+    l0, l1 = g0[0][0], g0[1][1] + float(_block_value(*stacks[1][2][..., 0, 0])[0].sum())
+    t0, t1, g = g1[0][0], g1[1][1], g2[0][1]
+    q0, q1, q2 = t0 * t0, 2.0 * t0 * t1 + 4.0 * (g * g), t1 * t1
+    dl2, alpha, beta = 4.0 * ((l1 - l0) * (l1 - l0)), 2.0 * q0 - q1, q1 - 2.0 * q2
+    roots = _quadratic_roots(dl2 * q2 - beta * beta, dl2 * q1 - 2.0 * alpha * beta,
+                             dl2 * q0 - alpha * alpha)
+
+    def f(a2, b2):  # F at a^2 = a2, b^2 = b2
+        return a2 * l0 + b2 * l1 + math.sqrt(a2 * a2 * q0 + a2 * b2 * q1 + b2 * b2 * q2)
+
     # a complex or negative root, clamped, is still an amplitude of the family: never above the maximum
-    s = np.maximum(roots.real, 0.0)
-    a2, b2 = np.append([1.0, 0.0], 1.0 / (1.0 + s)), np.append([0.0, 1.0], s / (1.0 + s))
-    f = a2 * l0 + b2 * l1 + np.sqrt(a2 * a2 * q0 + a2 * b2 * q1 + b2 * b2 * q2)
-    return float(np.sqrt(a2[np.argmax(f)]))
+    candidates = [(1.0, 0.0), (0.0, 1.0)] + [(1.0 / (1.0 + s), s / (1.0 + s))
+                                             for s in (max(r, 0.0) for r in roots)]
+    return math.sqrt(max(candidates, key=lambda ab: f(*ab))[0])
 
 
 def _search(j2: HalfInt) -> tuple[float, HalfInt, float, float]:

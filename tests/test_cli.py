@@ -4,7 +4,7 @@ import math
 import pytest
 
 import relangle.optimizer as optimizer_module
-from relangle.cli import OUTPUT_DIR_ENV, _resolve_state, build_parser, main
+from relangle.cli import OUTPUT_DIR_ENV, _fmt_certificate, _resolve_state, build_parser, main
 from relangle.limits import default_sweep_grid
 from relangle.optimizer import (
     helstrom_certificate,
@@ -194,7 +194,18 @@ class TestCertify:
         assert main(["certify", "--j2", "2", "--state", "antiparallel"]) == 0
         assert capsys.readouterr().out == (
             f"j2=2 state=antiparallel F={result.fidelity:.10g} "
-            f"certificate_min_eig={min_eig:.10g} [pass]\n")
+            f"certificate_min_eig={round(min_eig, 12) + 0.0:.10g} [pass]\n")
+
+    @pytest.mark.parametrize("x", [1e-17, -1e-17, -1.387778781e-17, 2.775557562e-17, 0.0, -0.0])
+    def test_roundoff_prints_zero(self, x):
+        # roundoff at the optimum swaps sign when a* moves by an ulp; its line must not
+        assert _fmt_certificate(x) == "0"
+
+    @pytest.mark.parametrize("x, text", [(math.nan, "nan"), (-1.36e-3, "-0.00136"),
+                                         (-0.001362345678912, "-0.001362345679"),
+                                         (-1e-9, "-1e-09"), (6e-13, "1e-12")])
+    def test_failures_keep_their_digits(self, x, text):
+        assert _fmt_certificate(x) == text
 
 
 class TestResolveState:

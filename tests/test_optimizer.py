@@ -25,6 +25,8 @@ from relangle.optimizer import (
     CERTIFICATE_PASS,
     UnsupportedBlockError,
     _certificate,
+    _max_fidelity_value,
+    _quadratic_roots,
     _two_term_optimum,
     helstrom_certificate,
     max_fidelity,
@@ -555,6 +557,53 @@ class TestTwoTermOptimum:
     def test_matches_40_digit_value(self, j2):
         assert abs(_two_term_optimum(half(j2)) - float(A_STAR_40_DIGITS[j2])) <= 1e-12
 
+    @pytest.mark.parametrize("j2", ROOT_J2, ids=str)
+    def test_matches_the_np_roots_optimum(self, j2):
+        assert abs(_two_term_optimum(j2) - np_roots_optimum(j2)) <= 1e-15
+
+
+def np_roots_optimum(j2):
+    """_two_term_optimum with the quadratic solved by np.roots and the candidates as arrays."""
+    stacks = optimizer_module._geometry(*TWO_TERM, j2)[1]
+    g0, g1, g2 = stacks[2][2][:, 0]
+    l0, l1 = g0.diagonal() + [0.0, optimizer_module._block_value(*stacks[1][2][..., 0, 0])[0].sum()]
+    t0, t1 = g1.diagonal()
+    q0, q1, q2 = t0 * t0, 2.0 * t0 * t1 + 4.0 * g2[0, 1] ** 2, t1 * t1
+    dl2, alpha, beta = 4.0 * (l1 - l0) ** 2, 2.0 * q0 - q1, q1 - 2.0 * q2
+    roots = np.roots([dl2 * q2 - beta * beta, dl2 * q1 - 2.0 * alpha * beta, dl2 * q0 - alpha * alpha])
+    s = np.maximum(roots.real, 0.0)
+    a2, b2 = np.append([1.0, 0.0], 1.0 / (1.0 + s)), np.append([0.0, 1.0], s / (1.0 + s))
+    f = a2 * l0 + b2 * l1 + np.sqrt(a2 * a2 * q0 + a2 * b2 * q1 + b2 * b2 * q2)
+    return float(np.sqrt(a2[np.argmax(f)]))
+
+
+class TestQuadraticRoots:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scale", [(1.0, 1.0, 1.0), (1.0, 1e3, 1e-3)],
+                             ids=["a third complex", "cancelling"])
+    def test_matches_np_roots(self, seed, scale):
+        for a, b, c in np.random.default_rng(seed).normal(size=(200, 3)) * scale:
+            expected = np.roots([a, b, c])
+            got = _quadratic_roots(float(a), float(b), float(c))
+            if np.iscomplexobj(expected):  # a complex pair: its real part, once
+                assert got == pytest.approx([expected[0].real], rel=1e-12)
+            else:
+                assert sorted(got) == pytest.approx(sorted(expected), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("coeffs, roots", [
+        ((0.0, 2.0, -3.0), [1.5]),  # a = 0: the linear root
+        ((0.0, 0.0, 1.0), []),  # a = b = 0: none
+        ((1.0, 2.0, 5.0), [-1.0]),  # negative discriminant: the pair's real part -b/2a
+        ((1.0, -2.0, 1.0), [1.0, 1.0]),  # double root
+        ((2.0, 0.0, 0.0), [0.0]),  # q = 0: the double root 0
+        ((1.0, 0.0, -4.0), [-2.0, 2.0]),  # b = 0 takes sign +1
+    ])
+    def test_edge_cases(self, coeffs, roots):
+        got = _quadratic_roots(*coeffs)
+        assert sorted(got) == roots
+        # np.roots finds a double root only to about sqrt(eps)
+        assert all(min(abs(r - x) for x in got) <= 1e-7 for r in np.roots(coeffs).real)
+
 
 class TestAmplitudeGrid:
     @pytest.mark.parametrize("step", [0.001, 0.01, 0.07, 0.1, 0.25, 0.3, 1.0 / 3.0, 0.4, 0.5])
@@ -571,8 +620,9 @@ class TestAmplitudeGrid:
 
 def reference_block_optimum(blk):
     """The per-block solver: (mus, elements, contribution) of one block, one eigh per block."""
-    contrib, nu = map(float, optimizer_module._block_value(
-        np.trace(blk.k0), np.trace(blk.k1), *blk.k2[np.triu_indices(blk.dim)]))
+    contrib, t1, norm = optimizer_module._block_value(
+        np.trace(blk.k0), np.trace(blk.k1), *blk.k2[np.triu_indices(blk.dim)])
+    contrib, nu = float(contrib), float(np.arctan2(t1, norm))
     if blk.dim == 1:
         return np.array([nu if blk.k2[0, 0] > 0.0 else math.pi - nu]), np.ones((1, 1, 1)), contrib
     lam, vecs = np.linalg.eigh(blk.k2)
@@ -838,3 +888,30 @@ class TestOnePassPerDimension:
         assert np.array_equal(family.stacks[2][1], stack)
         assert max_fidelity(state, 5).per_block_contributions == \
             optimize_trig_blocks(trig).per_block_contributions
+
+
+COHERENT_CASES = [(GenericState.coherent(HalfInt(t)), j2) for t in range(1, 7)
+                  for j2 in ("1/2", 2, "7/2")]
+
+
+class TestValuePath:
+    @pytest.mark.parametrize("state,j2", SIGNAL_CASES + M1_CASES + COHERENT_CASES)
+    def test_is_the_max_fidelity_float(self, state, j2):
+        assert _max_fidelity_value(state, j2) == max_fidelity(state, j2, certify=False).fidelity
+
+    def test_three_dim_block_raises_as_max_fidelity_does(self):
+        errors = []
+        for path in (_max_fidelity_value, max_fidelity):
+            with pytest.raises(UnsupportedBlockError) as info:
+                path(THREE_TERM, half(1))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and "J=1 has dimension 3" in errors[0]
+
+    def test_sweep_row_builds_no_family(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep row built a TrigBlocks family")
+
+        grid = default_sweep_grid()
+        expected = sweep_optimal_vs_j2(grid)
+        monkeypatch.setattr(TrigBlocks, "__post_init__", refuse)
+        assert sweep_optimal_vs_j2(grid) == expected
