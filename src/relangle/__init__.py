@@ -32,7 +32,6 @@ from .estimator import (
     StructureMismatchError,
     TrigBlock,
     TrigBlocks,
-    a_operator,
     fidelity,
     fidelity_montecarlo,
     signal_trig_blocks,
@@ -80,7 +79,6 @@ __all__ = [
     "StructureMismatchError",
     "TrigBlock",
     "TrigBlocks",
-    "a_operator",
     "fidelity",
     "fidelity_montecarlo",
     "signal_trig_blocks",

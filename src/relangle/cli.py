@@ -19,7 +19,7 @@ from .states import GenericState, state_from_text
 from .estimator import fidelity_montecarlo
 from .optimizer import (
     UnsupportedBlockError,
-    _optimal_preparation,
+    _search,
     max_fidelity,
     optimize_state,
 )
@@ -83,7 +83,7 @@ def _resolve_state(selector: str, j2: HalfInt) -> GenericState:
     if selector == "antiparallel":
         return GenericState.antiparallel()
     if selector == "optimal":
-        return _optimal_preparation(j2)[2]
+        return _search(j2)[2]
     with open(selector, encoding="utf-8") as fh:
         return state_from_text(fh.read())
 

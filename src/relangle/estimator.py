@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev, Legendre
 
 from .su2 import DomainError, HalfInt, half
-from .states import BlockedOperator, GenericState, _multipoles, check_samples, check_seed, coupling_structure
+from .states import GenericState, _multipoles, check_samples, check_seed, coupling_structure
 
 _PSD_TOL = 1e-12
 # Chebyshev-term entries of one fidelity_montecarlo chunk, so 2**15 // (deg+1) samples.  With
@@ -173,14 +173,6 @@ def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:
     return _trig_blocks(state, *_geometry(state.m1, state.j_labels, half(j2)))
 
 
-def a_operator(state: GenericState, j2: HalfInt, mu: float) -> BlockedOperator:
-    """Utility-weighted measurement operator A_mu as a block direct sum."""
-    if not 0.0 <= mu <= math.pi:
-        raise DomainError(f"mu = {mu} outside [0, pi]")
-    return BlockedOperator({J: (blk.basis, blk.at(mu))
-                            for J, blk in signal_trig_blocks(state, j2).blocks.items()})
-
-
 def _lambda_min(a, b, c):
     """Smaller eigenvalue of [[a, b], [b, c]], elementwise; a 1-dim block [x] is (x, 0, x)."""
     return (a + c) / 2.0 - np.hypot((a - c) / 2.0, b)
@@ -262,16 +254,32 @@ def _failed_check(blocks: list[BlockPovm]) -> tuple[type, str] | None:
     return None
 
 
+def _upsilon(stack: np.ndarray, specs: list[BlockPovm]) -> np.ndarray:
+    """Symmetrised Upsilon = sum_i A(mu_i) E_i of the blocks of one dimension, one batched matmul.
+    A block with fewer outcomes is padded with zero elements (estimate 0), which add exactly 0;
+    the outcomes are added in order from 0, as a sum over one block adds them."""
+    count = max(len(spec.mus) for spec in specs)
+    mus, elements = np.zeros((len(specs), count)), np.zeros((len(specs), count) + stack.shape[2:])
+    for p, spec in enumerate(specs):
+        mus[p, :len(spec.mus)], elements[p, :len(spec.mus)] = spec.mus, spec.elements
+    mus = mus.ravel().tolist()
+    sin_mu, cos_mu = np.array([[math.sin(mu) for mu in mus],
+                               [math.cos(mu) for mu in mus]]).reshape(2, len(specs), count, 1, 1)
+    k0, k1, k2 = stack[:, :, None]
+    terms = (k0 + sin_mu * k1 + cos_mu * k2) @ elements
+    upsilon = sum(terms[:, i] for i in range(count))
+    return (upsilon + upsilon.swapaxes(1, 2)) / 2.0
+
+
 def fidelity(state: GenericState, j2: HalfInt, povm: PovmSpec) -> float:
-    """Average fidelity sum_J sum_mu Tr(A^J_mu E^J_mu)."""
-    j2 = half(j2)
-    trig = signal_trig_blocks(state, j2)
-    povm.validate({J: blk.dim for J, blk in trig.blocks.items()})
-    total = 0.0
-    for J, blk in trig.blocks.items():
-        for mu, element in zip(povm.per_block[J].mus, povm.per_block[J].elements):
-            total += float(np.trace(blk.at(mu) @ element))
-    return total
+    """Average fidelity sum_J tr Upsilon_J, the block traces added in J order."""
+    trig = signal_trig_blocks(state, half(j2))
+    povm.validate({J: len(basis) for J, basis in trig.bases.items()})
+    Js, traces = list(trig.bases), np.zeros(len(trig.bases))
+    for places, stack in trig.stacks.values():
+        upsilon = _upsilon(stack, [povm.per_block[Js[place]] for place in places])
+        traces[list(places)] = upsilon.trace(axis1=1, axis2=2)
+    return float(sum(traces.tolist()))
 
 
 @lru_cache(maxsize=None)

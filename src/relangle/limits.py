@@ -72,7 +72,7 @@ def sweep_optimal_vs_j2(j2_values: list[HalfInt]) -> list[SweepRow]:
     """Optimal amplitude and the three fidelity curves over the given j2 grid; no POVM is built."""
     rows = []
     for j2 in map(half, j2_values):
-        a_star, _, f_opt, f_par = _search(j2)
+        a_star, _, _, f_opt, f_par = _search(j2)
         rows.append(SweepRow(j2, a_star, f_opt, f_par,
                              _max_fidelity_value(GenericState.antiparallel(), j2)))
     return rows

@@ -7,12 +7,13 @@ tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1, largest at
 nu = atan2(tr k1, ||k2||_1); a 1-dim block is the same formula with a single
 outcome.  No eigensolver is needed for the value.  Optimality of a reported POVM
 is certified by scanning the minimum eigenvalue of Upsilon - A_mu over a fixed
-1001-point mu grid; every block is 1x1 or 2x2, so that eigenvalue is the entry
-itself for a 1-dim block and (a + c)/2 - hypot((a - c)/2, b) for a 2-dim one,
-and no eigensolver is needed.  The solve and the certificate both work on the
-blocks of one dimension at a time, as one (blocks, d, d) stack: one array
-pass per dimension, with one batched eigh for the 2-dim eigenbases, gives
-the same floats as a pass per block.
+1001-point mu grid, with Upsilon = sum_i A(mu_i) E_i from estimator._upsilon,
+whose trace is the fidelity; every block is 1x1 or 2x2, so that eigenvalue is
+the entry itself for a 1-dim block and (a + c)/2 - hypot((a - c)/2, b) for a
+2-dim one, and no eigensolver is needed.  The solve and the certificate both work on the blocks of one
+dimension at a time, as one (blocks, d, d) stack: one array pass per dimension,
+with one batched eigh for the 2-dim eigenbases, gives the same floats as a pass
+per block.  _search alone picks the optimal preparation.
 """
 from __future__ import annotations
 
@@ -28,10 +29,10 @@ from .estimator import (
     StructureMismatchError,
     TrigBlocks,
     _geometry,
-    _groups,
     _lambda_min,
     _products,
     _sym_entries,
+    _upsilon,
     signal_trig_blocks,
 )
 from .states import GenericState
@@ -123,29 +124,6 @@ def optimal_block(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[BlockPo
     return povms[J], values[J]
 
 
-def _outcome_sum(stack: np.ndarray, specs: list[BlockPovm]) -> np.ndarray:
-    """Upsilon = sum_i A(mu_i) E_i of blocks with one outcome count, with one matmul.
-
-    The outcomes are then added in order, starting from 0, as a sum over one
-    block adds them, so every entry is the same float.
-    """
-    count = len(specs[0].mus)
-    mus = [mu for spec in specs for mu in spec.mus.tolist()]
-    sin_mu, cos_mu = np.array([[math.sin(mu) for mu in mus],
-                               [math.cos(mu) for mu in mus]]).reshape(2, len(specs), count, 1, 1)
-    k0, k1, k2 = stack[:, :, None]
-    terms = (k0 + sin_mu * k1 + cos_mu * k2) @ np.array([spec.elements for spec in specs])
-    return sum(terms[:, i] for i in range(count))
-
-
-def _upsilon(stack: np.ndarray, specs: list[BlockPovm]) -> np.ndarray:
-    """Symmetrised Upsilon of each block of one dimension, one _outcome_sum per outcome count."""
-    upsilon = np.empty(stack.shape[1:])
-    for ps in _groups(len(spec.mus) for spec in specs).values():
-        upsilon[ps] = _outcome_sum(stack[:, ps], [specs[p] for p in ps])
-    return (upsilon + upsilon.swapaxes(1, 2)) / 2.0
-
-
 def _certificate(trig: TrigBlocks, povm: PovmSpec) -> float:
     """Minimum eigenvalue of Upsilon - A_mu over all blocks and the mu grid, a pass per dimension."""
     _check_dims(trig.bases, trig.stacks)
@@ -166,6 +144,10 @@ def _certificate(trig: TrigBlocks, povm: PovmSpec) -> float:
 
 
 def helstrom_certificate(state: GenericState, j2: HalfInt, povm: PovmSpec) -> float:
+    """Minimum of lambda_min(Upsilon - A(mu)) over every block and the mu grid, with
+    Upsilon = sum_i A(mu_i) E_i: the POVM is optimal iff Upsilon - A(mu) >= 0 at every mu
+    (Helstrom), and passes at CERTIFICATE_PASS.  The POVM is validated as fidelity validates
+    it; a block of dimension 3 or more raises UnsupportedBlockError."""
     trig = signal_trig_blocks(state, half(j2))
     povm.validate({J: len(basis) for J, basis in trig.bases.items()})
     return _certificate(trig, povm)
@@ -249,29 +231,23 @@ def _two_term_optimum(j2: HalfInt) -> float:
     return math.sqrt(max(candidates, key=lambda ab: f(*ab))[0])
 
 
-def _search(j2: HalfInt) -> tuple[float, HalfInt, float, float]:
-    """(a_star, winning m1 sector, its fidelity, the parallel state's fidelity) at j2, with
-    a_star the closed-form maximum over the two-term family; ties within 1e-9 go to m1 = 0."""
+def _search(j2: HalfInt) -> tuple[float, HalfInt, GenericState, float, float]:
+    """(a_star, winning m1 sector, its state, its fidelity, the parallel state's fidelity) at j2,
+    with a_star the closed-form maximum over the two-term family; the two-term state at a_star
+    wins unless the parallel state beats it by more than 1e-9.  Nothing is solved or certified."""
     j2 = half(j2)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
     a_star = _two_term_optimum(j2)
-    f0 = _max_fidelity_value(GenericState.two_term(a_star), j2)
-    f_par = _max_fidelity_value(GenericState.parallel(), j2)
+    two_term, parallel = GenericState.two_term(a_star), GenericState.parallel()
+    f0, f_par = _max_fidelity_value(two_term, j2), _max_fidelity_value(parallel, j2)
     if f0 >= f_par - 1e-9:
-        return a_star, half(0), f0, f_par
-    return a_star, half(1), f_par, f_par
-
-
-def _optimal_preparation(j2: HalfInt) -> tuple[float, HalfInt, GenericState]:
-    """(a_star, winning m1 sector, the winning state) at j2: the two-term state at a_star
-    if m1 = 0 wins, else the parallel state.  Nothing is certified."""
-    a_star, sector, _, _ = _search(j2)
-    return a_star, sector, GenericState.two_term(a_star) if sector == 0 else GenericState.parallel()
+        return a_star, half(0), two_term, f0, f_par
+    return a_star, half(1), parallel, f_par, f_par
 
 
 def optimize_state(j2: HalfInt) -> tuple[float, HalfInt, OptimizationResult]:
     """Best preparation amplitude over the m1=0 two-term family vs the parallel state:
     (a_star, winning m1 sector, result), where only the winner is solved and certified."""
-    a_star, sector, state = _optimal_preparation(j2)
+    a_star, sector, state, _, _ = _search(j2)
     return a_star, sector, max_fidelity(state, j2)

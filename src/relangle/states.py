@@ -286,9 +286,7 @@ def _rotated_signal(state: GenericState, j2: HalfInt, w: np.ndarray,
 
 
 def averaged_state_oracle(state: GenericState, j2: HalfInt, beta: float,
-                          samples: int, seed: int,
-                          fixed_rotation: tuple[float, float, float] | None = None,
-                          ) -> tuple[np.ndarray, np.ndarray]:
+                          samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo Haar average of U rho(beta) U^dag on the full product space.
 
     Returns (mean, stderr); stderr combines real and imaginary scatter per
@@ -297,37 +295,29 @@ def averaged_state_oracle(state: GenericState, j2: HalfInt, beta: float,
     angles are drawn 20000 samples per RNG call, so the result is
     deterministic for fixed (seed, samples); the outer products are formed
     about 2**18 entries at a time, so memory stays O(d^2) plus the angles of
-    one draw.  With fixed_rotation the sampler is bypassed (identity check
-    support).
+    one draw.
     """
     j2 = half(j2)
     check_samples(samples)
     check_seed(seed)
     check_beta(beta)
-    if fixed_rotation is not None and not all(map(math.isfinite, fixed_rotation)):
-        raise DomainError(f"fixed_rotation = {fixed_rotation!r} has a non-finite angle")
     w = _highest_weight_vector(j2, beta)
     dim = (j2.twice + 1) * sum(j1.twice + 1 for j1 in state.j_labels)
     chunk = max(1, _ORACLE_CHUNK_ELEMENTS // (dim * dim))
     rng = np.random.default_rng(seed)
     total = np.zeros((dim, dim), dtype=complex)
     total_sq = np.zeros((dim, dim))
-    done = 0
-    while done < samples:
-        n = min(_ORACLE_BATCH, samples - done)
-        if fixed_rotation is not None:
-            al, bt, gm = (np.full(n, float(x)) for x in fixed_rotation)
-        else:
-            al = rng.uniform(0.0, 2.0 * math.pi, n)
-            bt = np.arccos(rng.uniform(-1.0, 1.0, n))
-            gm = rng.uniform(0.0, 2.0 * math.pi, n)
+    for start in range(0, samples, _ORACLE_BATCH):
+        n = min(_ORACLE_BATCH, samples - start)
+        al = rng.uniform(0.0, 2.0 * math.pi, n)
+        bt = np.arccos(rng.uniform(-1.0, 1.0, n))
+        gm = rng.uniform(0.0, 2.0 * math.pi, n)
         for lo in range(0, n, chunk):
             sl = slice(lo, lo + chunk)
             v = _rotated_signal(state, j2, w, al[sl], bt[sl], gm[sl])
             rotated = v[:, :, None] * v[:, None, :].conj()
             total += rotated.sum(axis=0)
             total_sq += (np.abs(rotated) ** 2).sum(axis=0)
-        done += n
     mean = total / samples
     var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
     return mean, np.sqrt(var / samples)

@@ -1,8 +1,12 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import relangle
 import relangle.optimizer as optimizer_module
 from relangle.cli import OUTPUT_DIR_ENV, _fmt_certificate, _resolve_state, build_parser, main
 from relangle.limits import default_sweep_grid
@@ -269,6 +273,25 @@ class TestErrorHandling:
     def test_malformed_rational_exits_one(self, capsys):
         assert main(["optimize", "--j2", "x/2"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, state", [
+        (["certify", "--j2", "1/0"], None),
+        (["certify", "--j2", "1/2"], "m1=0\nj1=1/0 a=1\n"),
+        (["certify", "--j2", "1/2"], "m1=1/0\nj1=0 a=1\n"),
+    ], ids=["j2", "j1", "m1"])
+    def test_zero_denominator_exits_one(self, argv, state, tmp_path):
+        # Fraction raises ZeroDivisionError for '1/0'; the CLI reports it as a bad value
+        if state is not None:
+            f = tmp_path / "state.txt"
+            f.write_text(state, encoding="utf-8")
+            argv = argv + ["--state", str(f)]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(relangle.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "relangle.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert run.stderr == "error: '1/0' is not a half-integer\n"
+        assert "Traceback" not in run.stderr and run.stdout == ""
 
     def test_bad_grid_step_exits_one(self, capsys):
         assert main(["fidelity-sweep", "--a-grid-step", "0.9"]) == 1

@@ -8,6 +8,7 @@ from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 import relangle.estimator as estimator_module
+import relangle.optimizer as optimizer_module
 import relangle.states as states_module
 from relangle.su2 import DomainError, _log_binom, half, m_range
 from relangle.states import GenericState, averaged_state
@@ -15,7 +16,6 @@ from relangle.estimator import (
     BlockPovm,
     PovmSpec,
     StructureMismatchError,
-    a_operator,
     fidelity,
     fidelity_montecarlo,
     signal_trig_blocks,
@@ -130,22 +130,23 @@ class TestGeometry:
                 assert np.abs(coeffs - want[J][1]).max() <= 1e-13
 
 
-class TestAOperator:
-    def test_domain_check(self):
-        with pytest.raises(DomainError):
-            a_operator(GenericState.parallel(), "1/2", -0.5)
+def a_blocks(state, j2, mu):
+    """A(mu) of each block J of the signal, from its family's blocks."""
+    return {J: blk.at(mu) for J, blk in signal_trig_blocks(state, half(j2)).blocks.items()}
 
+
+class TestAOperator:
     @pytest.mark.parametrize("a", [0.3, 0.609, 0.8])
     @pytest.mark.parametrize("mu", [0.0, 0.7, math.pi / 2, 2.5])
     def test_two_term_spin_half_entries(self, a, mu):
-        op = a_operator(GenericState.two_term(a), "1/2", mu)
-        blk = op.block("1/2")
+        op = a_blocks(GenericState.two_term(a), "1/2", mu)
+        blk = op[half("1/2")]
         assert blk[0, 0] == pytest.approx(a * a * (4.0 + math.pi * math.sin(mu)) / 8.0,
                                           abs=1e-12)
         b = math.sqrt(1.0 - a * a)
         assert abs(blk[0, 1]) == pytest.approx(
             a * b * abs(math.cos(mu)) / (6.0 * math.sqrt(3.0)), abs=1e-12)
-        trace_32 = float(np.trace(op.block("3/2")))
+        trace_32 = float(np.trace(op[half("3/2")]))
         assert trace_32 == pytest.approx(
             (1.0 - a * a) * (12.0 + 3.0 * math.pi * math.sin(mu)) / 36.0, abs=1e-12)
 
@@ -153,8 +154,8 @@ class TestAOperator:
         # summing Tr A_mu over blocks gives the no-measurement average utility
         for state in (GenericState.two_term(0.5), GenericState.parallel()):
             for j2 in ("1/2", 3):
-                op = a_operator(state, j2, math.pi / 2)
-                assert op.trace() == pytest.approx(BLIND_GUESS, abs=1e-12)
+                op = a_blocks(state, j2, math.pi / 2)
+                assert sum(np.trace(m) for m in op.values()) == pytest.approx(BLIND_GUESS, abs=1e-12)
 
     @pytest.mark.parametrize("state", [GenericState.two_term(0.6),
                                        GenericState.parallel(),
@@ -169,9 +170,10 @@ class TestAOperator:
             rho = averaged_state(state, j2, b)
             for J in rho.blocks:
                 acc[J] = acc.get(J, 0.0) + ww * rho.block(J)
-        op = a_operator(state, j2, mu)
-        for J in op.blocks:
-            assert np.abs(op.block(J) - acc[J]).max() < 1e-9
+        op = a_blocks(state, j2, mu)
+        assert op.keys() == acc.keys()
+        for J, m in op.items():
+            assert np.abs(m - acc[J]).max() < 1e-9
 
     def test_sinusoidal_structure(self):
         state = GenericState.two_term(0.4)
@@ -329,7 +331,7 @@ class TestThreeDimBlock:
     def test_three_outcome_povm_accepted(self):
         povm = self.povm(three_outcome_block())
         f = fidelity(THREE_TERM, 1, povm)
-        expected = sum(float(np.trace(a_operator(THREE_TERM, 1, mu).block(J) @ e))
+        expected = sum(float(np.trace(a_blocks(THREE_TERM, 1, mu)[J] @ e))
                        for J, block in povm.per_block.items()
                        for mu, e in zip(block.mus, block.elements))
         assert f == pytest.approx(expected, abs=1e-14)
@@ -337,7 +339,84 @@ class TestThreeDimBlock:
         assert abs(est - f) < 4.0 * err
 
 
+def mixed_block(dim, count, mu0):
+    """A POVM on one block of this dimension with count outcomes, estimates from mu0 on.
+
+    Two outcomes split the block by a rotated projector; three take the trine
+    (2/3) v_k v_k^T on a 2-dim block and three rank-one projectors on a 3-dim one.
+    """
+    mus = [mu0 + 0.9 * i for i in range(count)]
+    if count == 1:
+        return BlockPovm(mus, [np.eye(dim)])
+    if dim == 1:
+        weights = [0.3, 0.7] if count == 2 else [0.2, 0.5, 0.3]
+        return BlockPovm(mus, [[[w]] for w in weights])
+    if dim == 3:
+        return BlockPovm(mus, three_outcome_block().elements)
+    if count == 2:
+        v = np.array([math.cos(mu0), math.sin(mu0)])
+        return BlockPovm(mus, [np.outer(v, v), np.eye(2) - np.outer(v, v)])
+    trine = [np.array([math.cos(t), math.sin(t)]) for t in mu0 + np.arange(3) * math.pi / 3]
+    return BlockPovm(mus, [2.0 / 3.0 * np.outer(v, v) for v in trine])
+
+
+# (state, j2, outcome counts in J order): 1, 2 and 3 outcomes mixed within one block dimension;
+# m1 = 0, labels {1, 2} at j2 = 2 have three 2-dim blocks J = 1, 2, 3 and 1-dim J = 0, 4
+MIXED_CASES = [
+    (GenericState.from_dict(0, {1: 0.6, 2: 0.8}), 2, (2, 1, 2, 3, 3)),
+    (GenericState.from_dict(0, {1: 0.6, 2: 0.8}), 2, (1, 3, 1, 2, 2)),
+    (GenericState.from_dict("1/2", {"1/2": 0.6, "3/2": 0.8}), "3/2", (3, 2, 1, 1)),
+    (THREE_TERM, 1, (2, 3, 1, 3)),
+]
+
+
+def mixed_povm(state, j2, counts):
+    dims = block_dims(state, j2)
+    return PovmSpec({J: mixed_block(dim, count, 0.2 + 0.3 * i)
+                     for i, ((J, dim), count) in enumerate(zip(dims.items(), counts))})
+
+
+def reference_upsilon(state, j2, povm, J):
+    """Upsilon_J = sum_i A_J(mu_i) E_i of one block, one outcome at a time, symmetrised."""
+    block = povm.per_block[J]
+    total = sum(a_blocks(state, j2, mu)[J] @ e for mu, e in zip(block.mus, block.elements))
+    return (total + total.T) / 2.0
+
+
 class TestFidelity:
+    @pytest.mark.parametrize("state, j2, counts", MIXED_CASES)
+    def test_matches_per_block_outcome_sum(self, state, j2, counts):
+        povm = mixed_povm(state, j2, counts)
+        assert [len(b.mus) for b in povm.per_block.values()] == list(counts)
+        expected = sum(float(np.trace(a_blocks(state, j2, mu)[J] @ e))
+                       for J, block in povm.per_block.items()
+                       for mu, e in zip(block.mus, block.elements))
+        assert abs(fidelity(state, j2, povm) - expected) <= 1e-15
+
+    @pytest.mark.parametrize("state, j2, counts", MIXED_CASES[:3])
+    def test_certificate_matches_per_block_scan(self, state, j2, counts):
+        povm = mixed_povm(state, j2, counts)
+        grid = np.linspace(0.0, math.pi, optimizer_module.CERTIFICATE_GRID)
+        lows = [np.linalg.eigvalsh(reference_upsilon(state, j2, povm, J)
+                                   - a_blocks(state, j2, mu)[J]).min()
+                for J in povm.per_block for mu in grid]
+        assert abs(helstrom_certificate(state, j2, povm) - min(lows)) <= 1e-14
+
+    def test_one_upsilon_for_fidelity_and_certificate(self, monkeypatch):
+        state, j2, counts = MIXED_CASES[0]
+        povm, calls = mixed_povm(state, j2, counts), []
+        upsilon = estimator_module._upsilon
+
+        def counting(stack, specs):
+            calls.append(len(specs))
+            return upsilon(stack, specs)
+
+        for module in (estimator_module, optimizer_module):
+            monkeypatch.setattr(module, "_upsilon", counting)
+        fidelity(state, j2, povm)
+        helstrom_certificate(state, j2, povm)
+        assert calls == [2, 3] * 2  # one call per block dimension, for each
+
     def test_blind_guess_floor(self):
         for state in (GenericState.parallel(), GenericState.antiparallel(),
                       GenericState.two_term(0.2)):

@@ -27,6 +27,7 @@ from relangle.optimizer import (
     _certificate,
     _max_fidelity_value,
     _quadratic_roots,
+    _search,
     _two_term_optimum,
     helstrom_certificate,
     max_fidelity,
@@ -446,6 +447,8 @@ class TestOptimizeState:
         monkeypatch.setattr(optimizer_module, "_max_fidelity_value", lowered)
         a_star, got, result = optimize_state("3/2")
         assert got == sector
+        assert optimizer_module._search("3/2")[1:3] == (
+            sector, GenericState.two_term(a_star) if sector == 0 else GenericState.parallel())
         assert result.certified
         (row,) = sweep_optimal_vs_j2(["3/2"])
         assert row.a_star == a_star
@@ -494,6 +497,22 @@ class TestBatchedSearch:
         assert sector == half(0)
         assert abs(a_star - a_ref) <= 1e-7
         assert abs(result.fidelity - f_ref) <= 1e-14
+
+    @pytest.mark.parametrize("j2", default_sweep_grid(), ids=str)
+    def test_search_state_is_the_one_certified(self, j2, monkeypatch):
+        solved = []
+        solve = optimizer_module.max_fidelity
+
+        def recording(state, j2, certify=True):
+            solved.append(state)
+            return solve(state, j2, certify)
+
+        a_star, sector, state, f_opt, _ = _search(j2)
+        monkeypatch.setattr(optimizer_module, "max_fidelity", recording)
+        got_a, got_sector, result = optimize_state(j2)
+        assert solved == [state]
+        assert (got_a, got_sector, result.fidelity) == (a_star, sector, f_opt)
+        assert state == GenericState.two_term(a_star)
 
     def test_one_certified_solve_per_search(self, monkeypatch):
         calls = []

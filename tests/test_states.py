@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import block_diag, expm
 
 from relangle import states
-from relangle.su2 import DomainError, half, m_range
+from relangle.su2 import DomainError, _highest_weight_vector, half, m_range
 from relangle.states import (
     GenericState,
     averaged_state,
@@ -212,6 +212,13 @@ def dense_rotation(js, alpha, beta, gamma):
     return block_diag(*blocks)
 
 
+def rotated_vectors(state, j2, beta, *rotations):
+    """The oracle's rows (D1 (x) D2)(alpha, beta', gamma) |Psi(beta)>, one per Euler-angle triple."""
+    alphas, betas, gammas = (np.array(angles) for angles in zip(*rotations))
+    w = _highest_weight_vector(half(j2), beta)
+    return states._rotated_signal(state, half(j2), w, alphas, betas, gammas)
+
+
 class TestOracle:
     @pytest.mark.parametrize("state", [
         GenericState.two_term(0.6),
@@ -225,9 +232,8 @@ class TestOracle:
         u = np.kron(dense_rotation(state.j_labels, *rotation),
                     dense_rotation([half(j2)], *rotation))
         rho = signal_density(state, j2, beta)
-        mean, _ = averaged_state_oracle(state, j2, beta, samples=2, seed=0,
-                                        fixed_rotation=rotation)
-        assert np.abs(mean - u @ rho @ u.conj().T).max() < 1e-12
+        (v,) = rotated_vectors(state, j2, beta, rotation)
+        assert np.abs(np.outer(v, v.conj()) - u @ rho @ u.conj().T).max() < 1e-12
 
     def test_peak_memory_bounded(self):
         # one full 20000-sample batch; a (20000, 16, 16) complex stack alone is 82 MB
@@ -261,20 +267,13 @@ class TestOracle:
         with pytest.raises(DomainError):
             averaged_state(state, "1/2", beta)
 
-    @pytest.mark.parametrize("rotation", [(math.nan, 0.1, 0.2), (0.3, math.inf, 0.2),
-                                          (0.3, 0.1, -math.inf)])
-    def test_rejects_non_finite_fixed_rotation(self, rotation):
-        with pytest.raises(DomainError, match="fixed_rotation"):
-            averaged_state_oracle(GenericState.antiparallel(), "1/2", 0.7, samples=10, seed=0,
-                                  fixed_rotation=rotation)
-
     def test_identity_rotation_returns_unrotated_density(self):
         state = GenericState.antiparallel()
-        mean, stderr = averaged_state_oracle(state, "1/2", 0.7, samples=2, seed=0,
-                                             fixed_rotation=(0.0, 0.0, 0.0))
+        (v,) = rotated_vectors(state, "1/2", 0.7, (0.0, 0.0, 0.0))
         rho = signal_density(state, "1/2", 0.7)
-        assert np.abs(mean - rho).max() < 1e-12
-        assert np.abs(stderr).max() < 1e-12
+        # v is real and v v^T is rho = psi psi^T, so v is signal_density's vector up to sign
+        assert np.abs(v.imag).max() < 1e-15
+        assert np.abs(np.outer(v.real, v.real) - rho).max() < 1e-15
 
     def test_deterministic(self):
         state = GenericState.two_term(0.6)

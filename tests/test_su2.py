@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -72,7 +73,7 @@ def highest_weight_scalar(twice_j, twice_m, beta):
     c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
     if (a > 0 and c == 0.0) or (b > 0 and s == 0.0):
         return 0.0
-    log_mag = 0.5 * (math.lgamma(a + b + 1) - math.lgamma(a + 1) - math.lgamma(b + 1))
+    log_mag = 0.5 * math.log(math.comb(a + b, a))
     if a > 0:
         log_mag += a * math.log(abs(c))
     if b > 0:
@@ -92,6 +93,17 @@ class TestHalfInt:
             HalfInt.parse("1/3")
         with pytest.raises(ValueError):
             HalfInt.from_value(0.3)
+
+    @pytest.mark.parametrize("value, shown", [("1/0", "'1/0'"), (" -3/0", "' -3/0'"),
+                                              (math.inf, "inf"), (-math.inf, "-inf"),
+                                              (math.nan, "nan"), ("x/2", "'x/2'")])
+    def test_malformed_value_raises_value_error_naming_it(self, value, shown):
+        # Fraction alone raises ZeroDivisionError for '1/0' and OverflowError for an infinity
+        with pytest.raises(ValueError, match=re.escape(f"{shown} is not a half-integer")):
+            half(value)
+        if isinstance(value, str):
+            with pytest.raises(ValueError, match=re.escape(f"{shown} is not a half-integer")):
+                HalfInt.parse(value)
 
     def test_arithmetic_and_comparison(self):
         a = half("1/2")
@@ -155,11 +167,9 @@ class TestHalfInt:
         assert half(1.5).twice == 3 and half(-2.0).twice == -4
         assert half(Fraction(5, 2)).twice == 5
         assert half(" -3/2 ").twice == -3
-        for bad in (0.3, math.nan, "1/3", "x"):
+        for bad in (0.3, math.nan, "1/3", "x", math.inf):
             with pytest.raises(ValueError):
                 half(bad)
-        with pytest.raises(OverflowError):
-            half(math.inf)
 
 
 class TestBareIntLabels:
@@ -311,6 +321,18 @@ class TestWignerDHighest:
     def test_non_finite_beta_rejected(self, beta):
         with pytest.raises(DomainError):
             wigner_d_highest(half(1), half(0), beta)
+
+    @pytest.mark.parametrize("twice_j", [132, 160, 200])
+    @pytest.mark.parametrize("beta", [math.pi / 6, 1.0, 2.9])
+    def test_large_entries_match_direct_float_form(self, twice_j, beta):
+        # sqrt(comb(2j, a)) c^a s^(2j-a) in floats is within 8.8e-15 of 40-digit values here;
+        # a log binomial from lgamma put the column 5.7e-14 to 1.0e-13 off it
+        c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+        direct = np.array([math.sqrt(math.comb(twice_j, a)) * c ** a * s ** (twice_j - a)
+                           for a in range(twice_j + 1)])
+        big = np.abs(direct) >= 0.1 * np.abs(direct).max()
+        column = _highest_weight_vector(HalfInt(twice_j), beta)
+        assert np.abs(column[big] / direct[big] - 1.0).max() <= 3e-14
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, math.pi / 2, math.pi, math.pi + 1e-12])
     def test_column_matches_scalar_closed_form(self, beta):
