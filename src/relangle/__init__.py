@@ -12,8 +12,6 @@ from .su2 import (
     couple_range,
     half,
     m_range,
-    wigner_d,
-    wigner_d_highest,
     wigner_d_matrix,
 )
 from .states import (
@@ -35,14 +33,12 @@ from .estimator import (
     fidelity,
     fidelity_montecarlo,
     signal_trig_blocks,
-    utility,
 )
 from .optimizer import (
     OptimizationResult,
     UnsupportedBlockError,
     helstrom_certificate,
     max_fidelity,
-    optimal_block,
     optimize_state,
     optimize_trig_blocks,
     two_term_nu,
@@ -63,8 +59,6 @@ __all__ = [
     "couple_range",
     "half",
     "m_range",
-    "wigner_d",
-    "wigner_d_highest",
     "wigner_d_matrix",
     "BlockedOperator",
     "GenericState",
@@ -82,12 +76,10 @@ __all__ = [
     "fidelity",
     "fidelity_montecarlo",
     "signal_trig_blocks",
-    "utility",
     "OptimizationResult",
     "UnsupportedBlockError",
     "helstrom_certificate",
     "max_fidelity",
-    "optimal_block",
     "optimize_state",
     "optimize_trig_blocks",
     "two_term_nu",

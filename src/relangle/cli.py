@@ -46,7 +46,7 @@ def _fmt_certificate(x: float) -> str:
 
 def _j2(text: str) -> HalfInt:
     """The reference spin; the library would take j2 = 0 and return the blind guess."""
-    j2 = HalfInt.parse(text)
+    j2 = half(text)
     if j2.twice < 1:
         raise ValueError(f"j2 = {j2} must be at least 1/2")
     return j2

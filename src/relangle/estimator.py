@@ -30,11 +30,6 @@ class StructureMismatchError(ValueError):
     """POVM block layout does not match the signal's coupling structure."""
 
 
-def utility(mu: float, beta: float) -> float:
-    """Quadratic figure of merit cos^2((mu - beta)/2)."""
-    return math.cos((mu - beta) / 2.0) ** 2
-
-
 @dataclass(frozen=True)
 class TrigBlock:
     basis: tuple[HalfInt, ...]
@@ -325,7 +320,7 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     j2 = half(j2)
     check_samples(samples)
     check_seed(seed)
-    povm.validate({J: len(basis) for J, basis in coupling_structure(state, j2)})
+    povm.validate({J: len(basis) for J, basis in coupling_structure(state.j_labels, j2)})
     mus, series = _outcome_series(state, j2, povm)
     cos_mu, sin_mu = np.cos(mus), np.sin(mus)
     outcomes, terms = series.shape

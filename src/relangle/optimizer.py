@@ -26,7 +26,6 @@ from .su2 import DomainError, HalfInt, half
 from .estimator import (
     BlockPovm,
     PovmSpec,
-    StructureMismatchError,
     TrigBlocks,
     _geometry,
     _lambda_min,
@@ -112,16 +111,6 @@ def _solve(trig: TrigBlocks) -> tuple[dict[HalfInt, BlockPovm], dict[HalfInt, fl
         for place, m, e in zip(places, mus, elements):
             povms[place] = BlockPovm(m, e)
     return dict(zip(trig.bases, povms)), dict(zip(trig.bases, values))
-
-
-def optimal_block(state: GenericState, j2: HalfInt, J: HalfInt) -> tuple[BlockPovm, float]:
-    """Optimal measurement on block J of the signal and its fidelity contribution."""
-    J, trig = half(J), signal_trig_blocks(state, half(j2))
-    if J not in trig.bases:
-        raise StructureMismatchError(f"J={J} is not a block of the signal; its blocks are "
-                                     f"{', '.join(str(K) for K in trig.bases)}")
-    povms, values = _solve(trig)
-    return povms[J], values[J]
 
 
 def _certificate(trig: TrigBlocks, povm: PovmSpec) -> float:

@@ -35,7 +35,7 @@ _NORM_TOL = 1e-12
 _BETA_TOL = 1e-12
 # rotations drawn per RNG call by the oracle; fixes its sample stream
 _ORACLE_BATCH = 20000
-# per-sample outer-product entries the oracle holds at once
+# the oracle rotates max(1, this // d^2) samples per chunk, d the product dimension
 _ORACLE_CHUNK_ELEMENTS = 2 ** 18
 
 
@@ -141,18 +141,13 @@ class BlockedOperator:
     def basis(self, J) -> tuple[HalfInt, ...]:
         return self.blocks[half(J)][0]
 
-    def min_eigenvalue(self) -> float:
-        return min((float(np.linalg.eigvalsh(mat).min()) for _, mat in self.blocks.values()),
-                   default=math.inf)
 
-
-def coupling_structure(state: GenericState | tuple[HalfInt, ...],
+def coupling_structure(labels: tuple[HalfInt, ...],
                        j2: HalfInt) -> list[tuple[HalfInt, tuple[HalfInt, ...]]]:
-    """Ordered (J, contributing j1 labels) pairs for a preparation or its j1 labels."""
+    """Ordered (J, contributing j1 labels) pairs for a preparation's j1 labels."""
     j2 = half(j2)
-    js = state.j_labels if isinstance(state, GenericState) else state
-    all_J = sorted({J for j1 in js for J in couple_range(j1, j2)}, key=lambda J: J.twice)
-    return [(J, tuple(j1 for j1 in js if abs(j1.twice - j2.twice) <= J.twice <= j1.twice + j2.twice))
+    all_J = sorted({J for j1 in labels for J in couple_range(j1, j2)}, key=lambda J: J.twice)
+    return [(J, tuple(j1 for j1 in labels if abs(j1.twice - j2.twice) <= J.twice <= j1.twice + j2.twice))
             for J in all_J]
 
 
@@ -243,12 +238,6 @@ def averaged_state(state: GenericState, j2: HalfInt, beta: float) -> BlockedOper
 # ---------------------------------------------------------------------------
 # Monte-Carlo Haar averaging oracle
 
-def product_basis_labels(state: GenericState, j2: HalfInt) -> list[tuple[HalfInt, HalfInt, HalfInt]]:
-    """(j1, m, m2) labels of the embedding product space, row order of the oracle."""
-    j2 = half(j2)
-    return [(j1, m, m2) for j1 in state.j_labels for m in m_range(j1) for m2 in m_range(j2)]
-
-
 def signal_density(state: GenericState, j2: HalfInt, beta: float) -> np.ndarray:
     """Unaveraged |Psi(beta)><Psi(beta)| on the embedding product space."""
     j2 = half(j2)
@@ -293,9 +282,9 @@ def averaged_state_oracle(state: GenericState, j2: HalfInt, beta: float,
     entry.  rho(beta) is pure, so each sample rotates the state vector v and
     adds v v^dag: O(samples * d^2) time for product dimension d.  Euler
     angles are drawn 20000 samples per RNG call, so the result is
-    deterministic for fixed (seed, samples); the outer products are formed
-    about 2**18 entries at a time, so memory stays O(d^2) plus the angles of
-    one draw.
+    deterministic for fixed (seed, samples); a chunk of about 2**18 / d^2
+    rotated rows V is summed as the two matrix products V^T conj(V) and
+    (|V|^2)^T |V|^2, so memory stays O(d^2) plus the angles of one draw.
     """
     j2 = half(j2)
     check_samples(samples)
@@ -315,9 +304,9 @@ def averaged_state_oracle(state: GenericState, j2: HalfInt, beta: float,
         for lo in range(0, n, chunk):
             sl = slice(lo, lo + chunk)
             v = _rotated_signal(state, j2, w, al[sl], bt[sl], gm[sl])
-            rotated = v[:, :, None] * v[:, None, :].conj()
-            total += rotated.sum(axis=0)
-            total_sq += (np.abs(rotated) ** 2).sum(axis=0)
+            p = np.abs(v) ** 2  # |v v^dag|^2 = p p^T entrywise
+            total += v.T @ v.conj()
+            total_sq += p.T @ p
     mean = total / samples
     var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
     return mean, np.sqrt(var / samples)
@@ -327,10 +316,11 @@ def coupled_basis_matrix(state: GenericState, j2: HalfInt) -> tuple[np.ndarray, 
     """Unitary from the product basis to the coupled |J M (j1)> basis.
 
     Returns (V, labels) with V[product_index, coupled_index] the CG coefficient
-    and labels the coupled (J, M, j1) per column.
+    and labels the coupled (J, M, j1) per column; the rows are the product
+    basis (j1, m, m2) in the oracle's order.
     """
     j2 = half(j2)
-    prod = product_basis_labels(state, j2)
+    prod = [(j1, m, m2) for j1 in state.j_labels for m in m_range(j1) for m2 in m_range(j2)]
     labels = [(J, M, j1) for j1 in state.j_labels for J in couple_range(j1, j2) for M in m_range(J)]
     V = np.zeros((len(prod), len(labels)))
     for r, (j1, m, m2) in enumerate(prod):
@@ -358,13 +348,13 @@ def state_from_text(text: str) -> GenericState:
         if line.startswith("m1="):
             if m1 is not None:
                 raise ValueError(f"repeated m1 line: {raw!r}")
-            m1 = HalfInt.parse(line[3:])
+            m1 = half(line[3:])
         elif line.startswith("j1="):
             parts = line.split()
             if len(parts) != 2 or not parts[1].startswith("a="):
                 raise ValueError(f"malformed amplitude line: {raw!r}")
             jpart, apart = parts
-            j1 = HalfInt.parse(jpart[3:])
+            j1 = half(jpart[3:])
             if j1 in amps:
                 raise ValueError(f"repeated j1={j1} line: {raw!r}")
             amps[j1] = float(apart[2:])

@@ -44,29 +44,9 @@ class HalfInt:
     def __init__(self, twice):
         if isinstance(twice, HalfInt):
             twice = twice.twice
-        if not isinstance(twice, int):
+        if not isinstance(twice, int) or isinstance(twice, bool):
             raise TypeError(f"twice must be an int, got {type(twice).__name__}")
         object.__setattr__(self, "twice", twice)
-
-    @classmethod
-    def from_value(cls, value) -> "HalfInt":
-        """Build from an int, Fraction, float or string that is (half-)integral, else ValueError."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):  # bool included: half(True) is 1, as through Fraction
-            return cls(2 * value)
-        try:  # Fraction alone raises ZeroDivisionError for '1/0', OverflowError for an infinity
-            doubled = Fraction(value.strip() if isinstance(value, str) else value) * 2
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"{value!r} is not a half-integer") from exc
-        if doubled.denominator != 1:
-            raise ValueError(f"{value!r} is not a half-integer")
-        return cls(int(doubled))
-
-    @classmethod
-    def parse(cls, text: str) -> "HalfInt":
-        """Parse '1/2', '-3/2' or '2' style labels."""
-        return cls.from_value(text)
 
     __add__ = _on_twice(operator.add, lambda t: HalfInt(t))
     __sub__ = _on_twice(operator.sub, lambda t: HalfInt(t))
@@ -99,8 +79,19 @@ class HalfInt:
 
 
 def half(value) -> HalfInt:
-    """Shorthand constructor: half(1) -> 1, half('3/2') -> 3/2."""
-    return HalfInt.from_value(value)
+    """HalfInt of an int, Fraction, float or string that is (half-)integral, else ValueError:
+    half(1) -> 1, half('3/2') -> 3/2, half('-3/2') -> -3/2."""
+    if isinstance(value, HalfInt):
+        return value
+    if isinstance(value, int):  # bool included: half(True) is 1, as through Fraction
+        return HalfInt(2 * value)
+    try:  # Fraction alone raises ZeroDivisionError for '1/0', OverflowError for an infinity
+        doubled = Fraction(value.strip() if isinstance(value, str) else value) * 2
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{value!r} is not a half-integer") from exc
+    if doubled.denominator != 1:
+        raise ValueError(f"{value!r} is not a half-integer")
+    return HalfInt(int(doubled))
 
 
 def check_jm(j: HalfInt, m: HalfInt) -> None:
@@ -155,6 +146,7 @@ def _jy_eigenbasis(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def wigner_d_matrix(j: HalfInt, betas) -> np.ndarray:
     """Stack of small-d matrices d^j(beta) over m = -j..j, shape (n, 2j+1, 2j+1).
 
+    Entry [k, r, c] is d^j_{m_r m_c}(beta_k) = <j m_r| exp(-i*beta_k*Jy) |j m_c>, and
     d^j(beta) = exp(-i*beta*Jy) = Re sum_k exp(-i*beta*lambda_k) v_k v_k^dag
     over the cached J_y eigenbasis (Feng, Wang, Yang & Jin, PRE 92, 043307
     (2015)), so it stays orthogonal to roundoff at any j.  Any finite beta is
@@ -173,18 +165,6 @@ def wigner_d_matrix(j: HalfInt, betas) -> np.ndarray:
     out[place[:n_even]] = proj[:, :n_even].T @ np.cos(phase)
     out[place[n_even:]] = proj[:, n_even:].T @ np.sin(phase)
     return out.reshape(lam.size, lam.size, -1).transpose(2, 0, 1)
-
-
-def wigner_d(j: HalfInt, m_row: HalfInt, m_col: HalfInt, beta: float) -> float:
-    """Real Wigner small-d element d^j_{m_row, m_col}(beta): one entry of wigner_d_matrix.
-
-    Convention: d^j_{m'm}(beta) = <j m'| exp(-i*beta*Jy) |j m>, so that
-    rotating the highest-weight state gives U(beta)|j j> = sum_m d^j_{m j}|j m>.
-    """
-    j, mr, mc = half(j), half(m_row), half(m_col)
-    check_jm(j, mr)
-    check_jm(j, mc)
-    return float(wigner_d_matrix(j, beta)[0, (j.twice + mr.twice) // 2, (j.twice + mc.twice) // 2])
 
 
 @lru_cache(maxsize=None)
@@ -214,13 +194,6 @@ def _highest_weight_vector(j: HalfInt, beta: float) -> np.ndarray:
     val = np.exp(0.5 * _log_binom(j.twice) + a * log_c + (j.twice - a) * log_s)
     val[((a > 0) & (c == 0.0)) | ((a < j.twice) & (s == 0.0))] = 0.0
     return np.where((c < 0.0) & (a % 2 == 1), -val, val)
-
-
-def wigner_d_highest(j: HalfInt, m: HalfInt, beta: float) -> float:
-    """d^j_{m,j}(beta), one entry of the closed-form column; a non-finite beta raises DomainError."""
-    j, m = half(j), half(m)
-    check_jm(j, m)
-    return float(_highest_weight_vector(j, beta)[(j.twice + m.twice) // 2])
 
 
 def _signed_sqrt(num: int, den: int) -> float:

@@ -34,7 +34,7 @@ from relangle.estimator import TrigBlock, TrigBlocks, _geometry
 
 
 def block_dims(state: GenericState, j2: HalfInt) -> dict[HalfInt, int]:
-    return {J: len(basis) for J, basis in coupling_structure(state, half(j2))}
+    return {J: len(basis) for J, basis in coupling_structure(state.j_labels, half(j2))}
 
 
 def max_symmetry_defect(rho: BlockedOperator) -> float:
@@ -57,7 +57,7 @@ def blocks_from_full_matrix(state: GenericState, j2: HalfInt, full: np.ndarray) 
     for c, (J, _, j1) in enumerate(labels):
         cols.setdefault((J, j1), []).append(c)
     out = BlockedOperator()
-    for J, basis in coupling_structure(state, j2):
+    for J, basis in coupling_structure(state.j_labels, j2):
         # sum over M of the (J M j1, J M j1') entries: the diagonal of each sub-block
         out.blocks[J] = (basis, np.array([[np.trace(coupled[np.ix_(cols[J, a], cols[J, b])])
                                            for b in basis] for a in basis]))

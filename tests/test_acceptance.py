@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from relangle.su2 import HalfInt, clebsch_gordan, couple_range, half, m_range, wigner_d
+from relangle.su2 import HalfInt, clebsch_gordan, couple_range, half, m_range, wigner_d_matrix
 from relangle.states import (
     GenericState,
     averaged_state,
@@ -25,7 +25,6 @@ from relangle.estimator import (
 from relangle.optimizer import (
     helstrom_certificate,
     max_fidelity,
-    optimal_block,
     optimize_state,
     two_term_nu,
 )
@@ -70,7 +69,8 @@ def test_criterion_3_optimal_preparation():
 def test_criterion_4_closed_form_nu():
     worst = 0.0
     for a in (0.1, 0.3, 0.5, 0.609, 0.7, 0.9):
-        nu_num = optimal_block(GenericState.two_term(a), "1/2", "1/2")[0].mus[0]
+        result = max_fidelity(GenericState.two_term(a), "1/2", certify=False)
+        nu_num = result.povm.per_block[half("1/2")].mus[0]
         worst = max(worst, abs(nu_num - two_term_nu(a)))
     assert worst <= 1e-8
     print(f"\ncriterion 4 PASS: max |nu_closed - nu_numeric| = {worst:.2e} "
@@ -119,8 +119,7 @@ def test_criterion_8_property_suite():
     for twice_j in range(1, 9):
         j = HalfInt(twice_j)
         for beta in np.linspace(0.0, math.pi, 25):
-            d = np.array([[wigner_d(j, mr, mc, beta) for mc in m_range(j)]
-                          for mr in m_range(j)])
+            d = wigner_d_matrix(j, beta)[0]
             worst_unitary = max(worst_unitary,
                                 float(np.abs(d.T @ d - np.eye(twice_j + 1)).max()))
     assert worst_unitary <= 1e-12
@@ -148,7 +147,8 @@ def test_criterion_8_property_suite():
             rho = averaged_state(state, "5/2", beta)
             worst_struct = max(worst_struct, abs(rho.trace() - 1.0),
                                max_symmetry_defect(rho),
-                               max(0.0, -rho.min_eigenvalue()))
+                               max(0.0, -min(float(np.linalg.eigvalsh(mat).min())
+                                             for _, mat in rho.blocks.values())))
             sigma = classical_sigma(state, beta)
             worst_struct = max(worst_struct, abs(sigma.trace() - 1.0))
             for _, mat in sigma.blocks.values():

@@ -19,7 +19,6 @@ from relangle.estimator import (
     fidelity,
     fidelity_montecarlo,
     signal_trig_blocks,
-    utility,
 )
 from relangle.limits import default_sweep_grid
 from relangle.optimizer import helstrom_certificate, max_fidelity
@@ -36,17 +35,6 @@ def blind_povm(dims, mu=math.pi / 2):
 def quad_nodes(n=200):
     x, w = leggauss(n)
     return (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
-
-
-class TestUtility:
-    def test_perfect_estimate(self):
-        assert utility(1.234, 1.234) == 1.0
-
-    def test_antipodal(self):
-        assert utility(0.0, math.pi) == pytest.approx(0.0, abs=1e-15)
-
-    def test_quarter(self):
-        assert utility(math.pi / 2, 0.0) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestMomentIntegrals:
@@ -78,11 +66,12 @@ class TestMomentIntegrals:
     @pytest.mark.parametrize("twice_j2", [1, 4, 11, 60, 200])
     def test_matches_quadrature(self, twice_j2):
         # weight sin(beta)/2; the squared amplitude is polynomial in cos(beta)
-        from relangle.su2 import HalfInt, wigner_d_highest
+        from relangle.su2 import HalfInt, _highest_weight_vector
         j2 = HalfInt(twice_j2)
         betas, w = quad_nodes()
-        for m2 in (m_range(j2)[0], m_range(j2)[len(m_range(j2)) // 2], m_range(j2)[-1]):
-            dsq = np.array([wigner_d_highest(j2, m2, b) ** 2 for b in betas])
+        for k in (0, (twice_j2 + 1) // 2, twice_j2):
+            m2 = m_range(j2)[k]
+            dsq = np.array([_highest_weight_vector(j2, b)[k] ** 2 for b in betas])
             sb = np.sin(betas)
             tri = moment_integrals(j2, m2)
             assert tri.P == pytest.approx(float(np.dot(w, dsq * sb / 4.0)), abs=1e-12)
@@ -164,7 +153,7 @@ class TestAOperator:
     def test_matches_quadrature_of_averaged_state(self, state, j2):
         betas, w = quad_nodes()
         mu = 1.1
-        weights = w * np.array([utility(mu, b) for b in betas]) * np.sin(betas) / 2.0
+        weights = w * np.cos((mu - betas) / 2.0) ** 2 * np.sin(betas) / 2.0
         acc = {}
         for b, ww in zip(betas, weights):
             rho = averaged_state(state, j2, b)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relangle.su2 import DomainError, half, m_range, wigner_d
+from relangle.su2 import DomainError, half, m_range, wigner_d_matrix
 from relangle.states import GenericState, _classical_multipoles, _multipoles, averaged_state
 from relangle.limits import (
     asymptotic_deviation,
@@ -74,10 +74,10 @@ class TestClassicalSigma:
         state = GenericState.parallel()
         beta = 1.1
         sigma = classical_sigma(state, beta)
-        for m in m_range(half(1)):
+        column = wigner_d_matrix(half(1), beta)[0, :, -1]  # d^1_{m 1} over m = -1..1
+        for m, d in zip(m_range(half(1)), column):
             _, mat = sigma.blocks[m]
-            assert mat[0, 0] == pytest.approx(wigner_d(half(1), m, half(1), beta) ** 2,
-                                              abs=1e-13)
+            assert mat[0, 0] == pytest.approx(d ** 2, abs=1e-13)
 
 
 class TestClassicalFidelity:

@@ -31,7 +31,6 @@ from relangle.optimizer import (
     _two_term_optimum,
     helstrom_certificate,
     max_fidelity,
-    optimal_block,
     optimize_state,
     optimize_trig_blocks,
     two_term_nu,
@@ -93,12 +92,8 @@ def random_povm(dims, rng):
 
 
 class TestSingleEstimate:
-    def test_missing_block_named(self):
-        with pytest.raises(StructureMismatchError, match=r"J=7/2 .*blocks are 1/2, 3/2"):
-            optimal_block(GenericState.two_term(0.6), "1/2", "7/2")
-
     def test_higher_block_peak_at_half_pi(self):
-        single, _ = optimal_block(GenericState.two_term(0.6), "1/2", "3/2")
+        single = max_fidelity(GenericState.two_term(0.6), "1/2", certify=False).povm.per_block[half("3/2")]
         assert single.mus.shape == (1,)
         assert single.mus[0] == pytest.approx(math.pi / 2, abs=1e-12)
 
@@ -106,8 +101,9 @@ class TestSingleEstimate:
         from scipy.optimize import brentq
         state = GenericState.parallel()
         trig = signal_trig_blocks(state, half("1/2"))
+        result = max_fidelity(state, "1/2", certify=False)
         for J, blk in trig.blocks.items():
-            single, val = optimal_block(state, "1/2", J)
+            single, val = result.povm.per_block[J], result.per_block_contributions[J]
             (mu_star,) = single.mus
             t0, t1, t2 = (float(np.trace(k)) for k in (blk.k0, blk.k1, blk.k2))
             f = lambda m: t0 + t1 * np.sin(m) + t2 * np.cos(m)  # a float or the whole grid
@@ -165,8 +161,9 @@ class TestBlockOptimum:
 
     @pytest.mark.parametrize("state,j2", SIGNAL_CASES)
     def test_signal_blocks_match_dense_scan(self, state, j2):
+        result = max_fidelity(state, j2, certify=False)
         for J, blk in signal_trig_blocks(state, half(j2)).blocks.items():
-            estimate, contrib = optimal_block(state, j2, J)
+            estimate, contrib = result.povm.per_block[J], result.per_block_contributions[J]
             ref = dense_pair_reference(blk)
             assert ref - 1e-13 <= contrib <= ref + 1e-10
             assert povm_value(blk, estimate) == pytest.approx(contrib, abs=1e-13)
@@ -183,7 +180,7 @@ class TestBlockOptimum:
 class TestPairEstimateBlock:
     @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.609, 0.7, 0.9])
     def test_closed_form_nu(self, a):
-        pair, _ = optimal_block(GenericState.two_term(a), "1/2", "1/2")
+        pair = max_fidelity(GenericState.two_term(a), "1/2", certify=False).povm.per_block[half("1/2")]
         nu, conjugate = pair.mus
         assert abs(nu - two_term_nu(a)) < 1e-8
         assert conjugate == math.pi - nu
@@ -197,14 +194,15 @@ class TestPairEstimateBlock:
     def test_degenerate_amplitudes(self):
         # off-diagonal vanishes; the pair construction must still be valid
         for a in (0.0, 1.0):
-            pair, contrib = optimal_block(GenericState.two_term(a), "1/2", "1/2")
+            result = max_fidelity(GenericState.two_term(a), "1/2", certify=False)
+            pair, contrib = result.povm.per_block[half("1/2")], result.per_block_contributions[half("1/2")]
             total = pair.elements.sum(axis=0)
             assert np.abs(total - np.eye(2)).max() < 1e-12
             assert contrib > 0.0
 
     def test_eigenvector_structure(self):
         # the difference operator is off-diagonal, so projectors lie along (1, +-1)
-        pair, _ = optimal_block(GenericState.two_term(0.609), "1/2", "1/2")
+        pair = max_fidelity(GenericState.two_term(0.609), "1/2", certify=False).povm.per_block[half("1/2")]
         proj_nu = pair.elements[0]
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
@@ -215,7 +213,8 @@ class TestPairEstimateBlock:
 
     def test_pair_relabeling_symmetry(self):
         state = GenericState.two_term(0.5)
-        pair, contrib = optimal_block(state, "1/2", "1/2")
+        result = max_fidelity(state, "1/2", certify=False)
+        pair, contrib = result.povm.per_block[half("1/2")], result.per_block_contributions[half("1/2")]
         nu = pair.mus[0]
         proj_nu, proj_conjugate = pair.elements
         blk = signal_trig_blocks(state, half("1/2")).blocks[half("1/2")]

@@ -13,6 +13,20 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
+def test_public_names():
+    assert sorted(relangle.__all__) == [
+        "BlockPovm", "BlockedOperator", "DomainError", "GenericState", "HalfInt",
+        "OptimizationResult", "PovmSpec", "StructureMismatchError", "TrigBlock", "TrigBlocks",
+        "UnsupportedBlockError", "asymptotic_deviation", "averaged_state", "averaged_state_oracle",
+        "classical_fidelity", "classical_sigma", "classical_trig_blocks", "clebsch_gordan",
+        "couple_range", "coupling_structure", "default_sweep_grid", "fidelity",
+        "fidelity_montecarlo", "half", "helstrom_certificate", "m_range", "max_fidelity",
+        "optimize_state", "optimize_trig_blocks", "signal_density", "signal_trig_blocks",
+        "state_from_text", "state_to_text", "sweep_optimal_vs_j2", "two_term_nu",
+        "wigner_d_matrix",
+    ]
+
+
 def test_import_builds_no_table():
     # the multipole tables and the geometry are built on first use, so no cold start pays for them
     src = str(Path(relangle.__file__).resolve().parents[1])

@@ -92,11 +92,11 @@ class TestGenericState:
 
 class TestCouplingStructure:
     def test_parallel_j2_half(self):
-        struct = coupling_structure(GenericState.parallel(), "1/2")
+        struct = coupling_structure(GenericState.parallel().j_labels, "1/2")
         assert [(str(J), len(basis)) for J, basis in struct] == [("1/2", 1), ("3/2", 1)]
 
     def test_two_term_j2_half(self):
-        struct = dict(coupling_structure(GenericState.two_term(0.6), "1/2"))
+        struct = dict(coupling_structure(GenericState.two_term(0.6).j_labels, "1/2"))
         assert len(struct[half("1/2")]) == 2  # repeated representation
         assert len(struct[half("3/2")]) == 1
 
@@ -117,7 +117,7 @@ class TestAveragedState:
             rho = averaged_state(state, j2, beta)
             assert rho.trace() == pytest.approx(1.0, abs=1e-12)
             assert max_symmetry_defect(rho) < 1e-12
-            assert rho.min_eigenvalue() > -1e-12
+            assert min(np.linalg.eigvalsh(mat).min() for _, mat in rho.blocks.values()) > -1e-12
 
     def test_aligned_coherent_occupies_stretch_state(self):
         rho = averaged_state(GenericState.parallel(), "1/2", 0.0)
@@ -281,6 +281,22 @@ class TestOracle:
         m2, s2 = averaged_state_oracle(state, "1/2", 1.0, samples=2000, seed=11)
         assert np.array_equal(m1, m2)
         assert np.array_equal(s1, s2)
+
+    def test_sums_match_per_sample_outer_products(self):
+        # the chunk products V^T conj(V) and (|V|^2)^T |V|^2 reorder the per-sample sums of
+        # v v^dag and |v v^dag|^2; 3000 samples are one draw and three chunks of 1024 at d = 16
+        state, j2, beta, samples, seed = GenericState.two_term(0.6), half("3/2"), 1.0, 3000, 5
+        rng = np.random.default_rng(seed)
+        al = rng.uniform(0.0, 2.0 * math.pi, samples)
+        bt = np.arccos(rng.uniform(-1.0, 1.0, samples))
+        gm = rng.uniform(0.0, 2.0 * math.pi, samples)
+        v = states._rotated_signal(state, j2, _highest_weight_vector(j2, beta), al, bt, gm)
+        outer = v[:, :, None] * v[:, None, :].conj()
+        want_mean = outer.mean(axis=0)
+        want_var = np.maximum((np.abs(outer) ** 2).mean(axis=0) - np.abs(want_mean) ** 2, 0.0)
+        mean, stderr = averaged_state_oracle(state, j2, beta, samples, seed)
+        assert np.abs(mean - want_mean).max() < 1e-12
+        assert np.abs(stderr ** 2 * samples - want_var).max() < 1e-12
 
     def test_agrees_with_closed_form_blocks(self):
         # the group average is uniform over M within each (J, j1, j1') sector,

@@ -18,8 +18,6 @@ from relangle.su2 import (
     couple_range,
     half,
     m_range,
-    wigner_d,
-    wigner_d_highest,
     wigner_d_matrix,
 )
 from helpers import cg_column
@@ -84,15 +82,15 @@ def highest_weight_scalar(twice_j, twice_m, beta):
 
 class TestHalfInt:
     def test_parse_rationals(self):
-        assert HalfInt.parse("1/2").twice == 1
-        assert HalfInt.parse("-3/2").twice == -3
-        assert HalfInt.parse("2").twice == 4
+        assert half("1/2").twice == 1
+        assert half("-3/2").twice == -3
+        assert half("2").twice == 4
 
     def test_parse_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
-            HalfInt.parse("1/3")
+            half("1/3")
         with pytest.raises(ValueError):
-            HalfInt.from_value(0.3)
+            half(0.3)
 
     @pytest.mark.parametrize("value, shown", [("1/0", "'1/0'"), (" -3/0", "' -3/0'"),
                                               (math.inf, "inf"), (-math.inf, "-inf"),
@@ -101,9 +99,6 @@ class TestHalfInt:
         # Fraction alone raises ZeroDivisionError for '1/0' and OverflowError for an infinity
         with pytest.raises(ValueError, match=re.escape(f"{shown} is not a half-integer")):
             half(value)
-        if isinstance(value, str):
-            with pytest.raises(ValueError, match=re.escape(f"{shown} is not a half-integer")):
-                HalfInt.parse(value)
 
     def test_arithmetic_and_comparison(self):
         a = half("1/2")
@@ -134,6 +129,13 @@ class TestHalfInt:
         assert {HalfInt(2): 0}.get(1) == 0
         # the constructor alone keeps the doubled reading
         assert HalfInt(1) == half("1/2")
+
+    def test_bool_twice_rejected(self):
+        # bool is an int subclass; HalfInt(True) would print True/2 with a bool twice
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="twice must be an int, got bool"):
+                HalfInt(flag)
+        assert type(half(True).twice) is int
 
     def test_non_integral_operand_rejected(self):
         with pytest.raises(TypeError):
@@ -181,8 +183,7 @@ class TestBareIntLabels:
     def test_wigner_d(self):
         assert wigner_d_matrix(1, 0.3).shape == (1, 3, 3)
         assert np.array_equal(wigner_d_matrix(1, [0.3, 1.2]), wigner_d_matrix(half(1), [0.3, 1.2]))
-        assert wigner_d(2, -1, 1, 0.3) == wigner_d(half(2), half(-1), half(1), 0.3)
-        assert wigner_d_highest(2, -1, 0.3) == wigner_d_highest(half(2), half(-1), 0.3)
+        assert np.array_equal(_highest_weight_vector(2, 0.3), _highest_weight_vector(half(2), 0.3))
 
     def test_clebsch_gordan(self):
         labels = (2, 0, 1, 1, 3, 1)
@@ -213,14 +214,15 @@ class TestRanges:
 
 class TestWignerD:
     def test_identity_rotation(self):
-        assert wigner_d(half(2), half(2), half(2), 0.0) == pytest.approx(1.0, abs=1e-15)
-        assert wigner_d(half(2), half(1), half(2), 0.0) == pytest.approx(0.0, abs=1e-15)
+        d = wigner_d_matrix(half(2), 0.0)[0]  # rows and columns m = -2..2
+        assert d[4, 4] == pytest.approx(1.0, abs=1e-15)
+        assert d[3, 4] == pytest.approx(0.0, abs=1e-15)
 
     def test_invalid_labels(self):
         with pytest.raises(DomainError):
-            wigner_d(half("1/2"), half("3/2"), half("1/2"), 0.3)
+            wigner_d_matrix(HalfInt(-1), 0.3)
         with pytest.raises(DomainError):
-            wigner_d(half(1), half("1/2"), half(1), 0.3)
+            wigner_d_matrix(HalfInt(-2), 0.3)
 
     @pytest.mark.parametrize("twice_j", [1, 2, 3, 4, 6, 8, 40, 81])
     def test_matches_generator_exponentiation(self, twice_j):
@@ -235,24 +237,18 @@ class TestWignerD:
                 jy[k + 1, k] += c / 2j
                 jy[k, k + 1] -= c / 2j
         betas = (0.3, 1.2, 2.9)
-        # the scalar accessor: every entry up to 2j = 8, a strided subset beyond
-        labels = m_range(j)
-        picks = range(0, dim, max(1, twice_j // 8))
         for beta, d in zip(betas, wigner_d_matrix(j, betas)):
             u = expm(-1j * beta * jy)
             assert np.abs(u.imag).max() < 1e-12
             assert np.abs(d - u.real).max() < 1e-12
-            for r in picks:
-                for c in picks:
-                    assert wigner_d(j, labels[r], labels[c], beta) == pytest.approx(
-                        u[r, c].real, abs=1e-12)
+            # one angle alone is a matrix-vector product, which BLAS rounds differently
+            assert np.abs(wigner_d_matrix(j, beta)[0] - u.real).max() < 1e-12
 
     def test_unitarity(self):
         for twice_j in range(1, 9):
             j = HalfInt(twice_j)
             for beta in np.linspace(0.0, math.pi, 50):
-                d = np.array([[wigner_d(j, mr, mc, beta) for mc in m_range(j)]
-                              for mr in m_range(j)])
+                d = wigner_d_matrix(j, beta)[0]
                 assert np.abs(d.T @ d - np.eye(twice_j + 1)).max() < 1e-12
 
     def test_orthogonal_at_large_j(self):
@@ -265,8 +261,8 @@ class TestWignerD:
             for d in stack:
                 assert np.abs(d.T @ d - eye).max() <= 1e-13
             assert np.abs(stack[0] - eye).max() <= 1e-13
-            mid = m_range(j)[twice_j // 2]
-            assert wigner_d(j, mid, mid, 0.0) == pytest.approx(1.0, abs=1e-13)
+            mid = twice_j // 2
+            assert wigner_d_matrix(j, 0.0)[0, mid, mid] == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("twice_j", [0, 1, 2, 7, 40])
     def test_cache_holds_one_real_cube(self, twice_j):
@@ -281,8 +277,6 @@ class TestWignerD:
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_non_finite_beta_rejected(self, beta):
         with pytest.raises(DomainError):
-            wigner_d(half(1), half(0), half(0), beta)
-        with pytest.raises(DomainError):
             wigner_d_matrix(half(1), beta)
         with pytest.raises(DomainError):
             wigner_d_matrix(half(1), [0.3, beta])
@@ -294,33 +288,29 @@ class TestWignerDHighest:
         j = HalfInt(twice_j)
         for beta in (0.0, 0.4, 1.7, math.pi):
             total = 0.0
+            column = _highest_weight_vector(j, beta)
             for m in m_range(j):
                 a = (j.twice + m.twice) // 2
                 b = (j.twice - m.twice) // 2
                 expect = (math.comb(a + b, a) * math.cos(beta / 2.0) ** (2 * a)
                           * math.sin(beta / 2.0) ** (2 * b))
-                got = wigner_d_highest(j, m, beta) ** 2
+                got = column[a] ** 2
                 assert got == pytest.approx(expect, abs=1e-12)
                 total += got
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_agrees_with_general_entry(self):
-        for twice_j in (3, 8):
-            j = HalfInt(twice_j)
-            for m in m_range(j):
-                assert wigner_d_highest(j, m, 1.1) == pytest.approx(
-                    wigner_d(j, m, j, 1.1), abs=1e-13)
         for twice_j in (3, 8, 40, 81, 100, 200):
             j = HalfInt(twice_j)
             for beta in (0.4, 1.1, 2.9):
-                highest = np.array([wigner_d_highest(j, m, beta) for m in m_range(j)])
+                highest = _highest_weight_vector(j, beta)
                 column = wigner_d_matrix(j, beta)[0, :, -1]
                 assert np.abs(highest - column).max() <= 1e-13
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_non_finite_beta_rejected(self, beta):
         with pytest.raises(DomainError):
-            wigner_d_highest(half(1), half(0), beta)
+            _highest_weight_vector(half(1), beta)
 
     @pytest.mark.parametrize("twice_j", [132, 160, 200])
     @pytest.mark.parametrize("beta", [math.pi / 6, 1.0, 2.9])
@@ -342,7 +332,6 @@ class TestWignerDHighest:
             scalar = np.array([highest_weight_scalar(twice_j, m.twice, beta) for m in m_range(j)])
             assert np.isfinite(column).all()
             assert np.abs(column - scalar).max() <= 2e-16
-            assert wigner_d_highest(j, m_range(j)[-1], beta) == column[-1]
 
 
 class TestClebschGordan:
