@@ -14,13 +14,12 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from numpy.polynomial import Chebyshev, Legendre
 
 from .su2 import DomainError, HalfInt, half
 from .states import GenericState, _multipoles, check_samples, check_seed, coupling_structure
 
 _PSD_TOL = 1e-12
-# Chebyshev-term entries of one fidelity_montecarlo chunk, so 2**15 // (deg+1) samples.  With
+# Legendre-term entries of one fidelity_montecarlo chunk, so 2**15 // (deg+1) samples.  With
 # every per-sample buffer, about 90 bytes a sample at deg 2 and four outcomes, that is about
 # 1 MB, in L2; in process 2**15 ran faster than 2**13, 2**14 and 2**16.
 _MC_CHUNK_ELEMENTS = 2 ** 15
@@ -158,14 +157,10 @@ def _products(amps: np.ndarray, geometry) -> dict:
     return stacks
 
 
-def _trig_blocks(state: GenericState, bases, geometry) -> TrigBlocks:
-    """The family of a _table_geometry for this state, checked as every family is."""
-    return TrigBlocks(bases, _products(state.amplitude_vector, geometry))
-
-
 def signal_trig_blocks(state: GenericState, j2: HalfInt) -> TrigBlocks:
     """A(mu) coefficient blocks for the rotation-averaged signal state, from the cached geometry."""
-    return _trig_blocks(state, *_geometry(state.m1, state.j_labels, half(j2)))
+    bases, geometry = _geometry(state.m1, state.j_labels, half(j2))
+    return TrigBlocks(bases, _products(state.amplitude_vector, geometry))
 
 
 def _lambda_min(a, b, c):
@@ -277,20 +272,11 @@ def fidelity(state: GenericState, j2: HalfInt, povm: PovmSpec) -> float:
     return float(sum(traces.tolist()))
 
 
-@lru_cache(maxsize=None)
-def _legendre_to_chebyshev(deg: int) -> np.ndarray:
-    """(deg+1, deg+1) matrix whose row K holds the Chebyshev coefficients of P_K, read-only."""
-    out = np.array([np.pad(Legendre.basis(k).convert(kind=Chebyshev).coef, (0, deg - k))
-                    for k in range(deg + 1)])
-    out.flags.writeable = False
-    return out
-
-
 def _outcome_series(state: GenericState, j2: HalfInt, povm: PovmSpec):
-    """Each outcome's estimate mu (k,) and Chebyshev coefficients (k, deg+1) of its p_o(cos beta).
+    """Each outcome's estimate mu (k,) and Legendre coefficients (k, deg+1) of its p_o(cos beta).
 
     p_o = sum_K P_K(cos beta) sum_{j1, j1'} a_{j1} a_{j1'} E_o[j1, j1'] c_K[j1, j1'] over the stacks
-    of _multipoles; one cached matrix takes each Legendre row to Chebyshev coefficients.
+    of _multipoles, so each row is read straight off the table.
     """
     mus, rows = [], []
     for J, (basis, c) in _multipoles(state.m1, state.j_labels, j2).items():
@@ -298,7 +284,7 @@ def _outcome_series(state: GenericState, j2: HalfInt, povm: PovmSpec):
         weight = np.outer(amps, amps) * povm.per_block[J].elements  # (outcomes, d, d)
         mus.extend(povm.per_block[J].mus)
         rows.extend((weight[:, None] * c).sum(axis=(2, 3)))
-    return np.array(mus), np.array(rows) @ _legendre_to_chebyshev(len(rows[0]) - 1)
+    return np.array(mus), np.array(rows)
 
 
 def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
@@ -309,7 +295,7 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     per-outcome probabilities, and averages the utility of the outcome's
     estimate.  Deterministic for fixed (seed, samples): u = cos(beta) and the
     picks are the draws of default_rng(seed).uniform(-1, 1, samples) and then
-    .uniform(0, 1, samples).  Each probability is a Chebyshev series of degree
+    .uniform(0, 1, samples).  Each probability is a Legendre series of degree
     deg = min(2 max j1, 2j2) in cos(beta), so the cost is O(samples * (deg+1) *
     outcomes) plus O(outcomes * (deg+1) * d^2) per call for blocks of dimension
     d, and none in j2 once the multipole table is cached.  Samples go in chunks
@@ -330,25 +316,26 @@ def fidelity_montecarlo(state: GenericState, j2: HalfInt, povm: PovmSpec,
     pick_rng = np.random.Generator(np.random.PCG64(seed).advance(samples))
     total = total_sq = 0.0  # running sums of the utility and its square
     chunk = min(samples, max(1, _MC_CHUNK_ELEMENTS // terms))
-    # T_0..T_deg at the chunk's u (row 1, T_1, is u itself; a row past T_deg is never read),
+    # P_0..P_deg at the chunk's u (row 1, P_1, is u itself; a row past P_deg is never read),
     # cumulative p_o, and per sample the pick, sin(beta), the utility, a mask and the outcome
-    cheb, cum = np.ones((max(terms, 2), chunk)), np.empty((outcomes, chunk))
+    legendre, cum = np.ones((max(terms, 2), chunk)), np.empty((outcomes, chunk))
     pick_buf, sin_buf, util_buf = np.empty((3, chunk))
     hit_buf, idx_buf = np.empty(chunk, dtype=bool), np.empty(chunk, dtype=np.intp)
     for lo in range(0, samples, chunk):
         n = min(chunk, samples - lo)
-        tk, cm = cheb[:, :n], cum[:, :n]
-        u, pick, sin_b, util, hit, idx = (buf[:n] for buf in (cheb[1], pick_buf, sin_buf,
+        pk, cm = legendre[:, :n], cum[:, :n]
+        u, pick, sin_b, util, hit, idx = (buf[:n] for buf in (legendre[1], pick_buf, sin_buf,
                                                                util_buf, hit_buf, idx_buf))
         u_rng.random(out=u)  # cos(beta), the prior in disguise
         u *= 2.0
         u -= 1.0
         pick_rng.random(out=pick)
-        for k in range(2, terms):  # T_k = 2u T_{k-1} - T_{k-2}
-            np.multiply(u, tk[k - 1], out=tk[k])
-            tk[k] *= 2.0
-            tk[k] -= tk[k - 2]
-        np.maximum(np.matmul(series, tk[:terms], out=cm), 0.0, out=cm)
+        for k in range(2, terms):  # Bonnet: k P_k = (2k-1) u P_{k-1} - (k-1) P_{k-2}
+            np.multiply(u, pk[k - 1], out=pk[k])
+            pk[k] *= (2 * k - 1) / k
+            np.multiply(pk[k - 2], (k - 1) / k, out=sin_b)  # sin(beta) is not yet needed
+            pk[k] -= sin_b
+        np.maximum(np.matmul(series, pk[:terms], out=cm), 0.0, out=cm)
         for o in range(1, outcomes):  # row by row: cumsum along a short axis is slow
             cm[o] += cm[o - 1]
         pick *= cm[-1]  # the draw, below the last row's total: the outcome is the rows it passes

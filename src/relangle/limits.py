@@ -15,7 +15,7 @@ import numpy as np
 from .su2 import HalfInt, half
 from .states import (BlockedOperator, GenericState, _classical_multipoles, _table_at, averaged_state,
                      check_beta)
-from .estimator import TrigBlocks, _table_geometry, _trig_blocks
+from .estimator import TrigBlocks, _products, _table_geometry
 from .optimizer import OptimizationResult, _max_fidelity_value, _search, optimize_trig_blocks
 
 
@@ -27,8 +27,8 @@ def classical_sigma(state: GenericState, beta: float) -> BlockedOperator:
 
 def classical_trig_blocks(state: GenericState) -> TrigBlocks:
     """A(mu) coefficients for the classical task, from the classical multipole table."""
-    return _trig_blocks(state, *_table_geometry(_classical_multipoles(state.m1, state.j_labels),
-                                                state.j_labels))
+    bases, geometry = _table_geometry(_classical_multipoles(state.m1, state.j_labels), state.j_labels)
+    return TrigBlocks(bases, _products(state.amplitude_vector, geometry))
 
 
 def classical_fidelity(state: GenericState) -> OptimizationResult:

@@ -46,9 +46,9 @@ def check_samples(samples) -> None:
 
 
 def check_seed(seed) -> None:
-    """Raise DomainError unless seed is an int of at least 0, so a run can be repeated."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed = {seed!r} must be an int of at least 0")
+    """Raise DomainError unless seed is an int (not a bool) of at least 0, so a run can be repeated."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed = {seed!r} must be an int (not a bool) of at least 0")
 
 
 def check_beta(beta: float) -> None:

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -38,3 +39,20 @@ def test_import_builds_no_table():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[0, 0, 0]"
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    # scipy, sympy and mpmath may serve a check in tests, never the package itself
+    outside = []
+    for path in sorted(Path(relangle.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] != "numpy"
+                        and name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -252,7 +252,7 @@ class TestOracle:
         with pytest.raises(DomainError):
             averaged_state_oracle(GenericState.antiparallel(), "1/2", 0.7, samples=samples, seed=0)
 
-    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3"])
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3", True, False])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(DomainError, match="seed"):
             averaged_state_oracle(GenericState.antiparallel(), "1/2", 0.7, samples=10, seed=seed)
