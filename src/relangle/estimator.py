@@ -149,11 +149,12 @@ def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
 
 
 def _products(amps: np.ndarray, geometry) -> dict:
-    """A _table_geometry's unchecked stacks d -> (places, k0, k1, k2) for these amplitudes."""
+    """A _table_geometry's unchecked stacks d -> (places, k0, k1, k2) for amplitudes (..., labels):
+    one row gives a family's (3, n, d, d) stacks, (k, 1, labels) rows (k, 3, n, d, d) ones."""
     stacks = {}
     for d, (places, idx, coeffs) in geometry.items():
-        x = amps[idx]
-        stacks[d] = (places, (x[:, :, None] * x[:, None, :]) * coeffs)
+        x = amps.take(idx, -1)  # (..., n, d)
+        stacks[d] = (places, (x[..., None] * x[..., None, :]) * coeffs)
     return stacks
 
 

@@ -16,7 +16,7 @@ from .su2 import HalfInt, half
 from .states import (BlockedOperator, GenericState, _classical_multipoles, _table_at, averaged_state,
                      check_beta)
 from .estimator import TrigBlocks, _products, _table_geometry
-from .optimizer import OptimizationResult, _max_fidelity_value, _search, optimize_trig_blocks
+from .optimizer import OptimizationResult, _search, optimize_trig_blocks
 
 
 def classical_sigma(state: GenericState, beta: float) -> BlockedOperator:
@@ -69,10 +69,7 @@ def default_sweep_grid() -> list[HalfInt]:
 
 
 def sweep_optimal_vs_j2(j2_values: list[HalfInt]) -> list[SweepRow]:
-    """Optimal amplitude and the three fidelity curves over the given j2 grid; no POVM is built."""
-    rows = []
-    for j2 in map(half, j2_values):
-        a_star, _, _, f_opt, f_par = _search(j2)
-        rows.append(SweepRow(j2, a_star, f_opt, f_par,
-                             _max_fidelity_value(GenericState.antiparallel(), j2)))
-    return rows
+    """a*, F_opt, F_parallel and F_antiparallel over a j2 grid, not a string; builds no state."""
+    if isinstance(j2_values, (str, bytes)):
+        raise TypeError(f"j2_values = {j2_values!r} is a string, not a grid of j2 values")
+    return [SweepRow(j2, *_search(j2)[:4]) for j2 in map(half, j2_values)]

@@ -1,19 +1,19 @@
 """Optimal estimates, POVMs and the optimal preparation amplitude.
 
-Every J-block of A(mu) = k0 + sin(mu) k1 + cos(mu) k2 is solved in closed
-form.  Since A(pi - mu) - A(mu) = -2 cos(mu) k2, the best (nu, pi - nu) pair
-measures in the mu-independent eigenbasis of k2 and earns
-tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1, largest at
-nu = atan2(tr k1, ||k2||_1); a 1-dim block is the same formula with a single
-outcome.  No eigensolver is needed for the value.  Optimality of a reported POVM
-is certified by scanning the minimum eigenvalue of Upsilon - A_mu over a fixed
-1001-point mu grid, with Upsilon = sum_i A(mu_i) E_i from estimator._upsilon,
-whose trace is the fidelity; every block is 1x1 or 2x2, so that eigenvalue is
-the entry itself for a 1-dim block and (a + c)/2 - hypot((a - c)/2, b) for a
-2-dim one, and no eigensolver is needed.  The solve and the certificate both work on the blocks of one
-dimension at a time, as one (blocks, d, d) stack: one array pass per dimension,
-with one batched eigh for the 2-dim eigenbases, gives the same floats as a pass
-per block.  _search alone picks the optimal preparation.
+Every J-block of A(mu) = k0 + sin(mu) k1 + cos(mu) k2 gets a closed-form measurement.
+Since A(pi - mu) - A(mu) = -2 cos(mu) k2, the best (nu, pi - nu) pair that measures in the
+mu-independent eigenbasis of k2 earns tr k0 + sin(nu) tr k1 + cos(nu) ||k2||_1, largest at
+nu = atan2(tr k1, ||k2||_1); a 1-dim block is the same formula with a single outcome.  No
+eigensolver is needed for the value.  The pair is optimal on m1 = 0 blocks only:
+max_fidelity(GenericState.from_dict(1, {1: cos 0.4, 2: sin 0.4}), 1) gives F = 0.9216528
+with certificate -1.36e-3.  Optimality of a reported POVM is certified by scanning the
+minimum eigenvalue of Upsilon - A_mu over a fixed 1001-point mu grid, with
+Upsilon = sum_i A(mu_i) E_i from estimator._upsilon, whose trace is the fidelity; every
+block is 1x1 or 2x2, so that eigenvalue is the entry itself for a 1-dim block and
+(a + c)/2 - hypot((a - c)/2, b) for a 2-dim one.  The solve, the certificate and the value
+of k amplitude rows work on the blocks of one dimension at a time, as one (blocks, d, d)
+stack: one array pass per dimension, with one batched eigh for the 2-dim eigenbases, gives
+the same floats as a pass per block.  _search alone picks the optimal preparation.
 """
 from __future__ import annotations
 
@@ -44,6 +44,10 @@ _SIN_MU.flags.writeable = _COS_MU.flags.writeable = False
 # (a, b, c) places of k2 in the solved 1- and 2-dim blocks, built once
 _UPPER = {1: np.triu_indices(1), 2: np.triu_indices(2)}
 _IDENTITY_1 = np.broadcast_to(1.0, (1, 1, 1))  # every 1-dim block's one element, read-only
+# (m1, labels) of a|0 0> + b|1 0>, the antiparallel row and the parallel state, built once
+_TWO_TERM = (half(0), (half(0), half(1)))
+_ANTIPARALLEL_ROW, _PARALLEL = GenericState.antiparallel().amplitude_vector, GenericState.parallel()
+_ANTIPARALLEL_ROW.flags.writeable = False
 
 
 class UnsupportedBlockError(ValueError):
@@ -78,17 +82,19 @@ def _block_value(t0, t1, a, b=0.0, c=0.0):
     return t0 + np.hypot(t1, norm), t1, norm
 
 
-def _contributions(bases, stacks) -> tuple[list[float], list]:
-    """Each block's value in J order from a family's or _products' stacks, and per dimension
-    (d, places, k2, t1, ||k2||_1) for nu; UnsupportedBlockError names the first J of dimension > 2."""
+def _contributions(bases, stacks) -> tuple[list, list]:
+    """Each block's value in J order from a family's (3, n, d, d) stacks, or per row of _products'
+    (k, 3, n, d, d) ones, and per dimension (d, places, k2, t1, ||k2||_1) for nu."""
     _check_dims(bases, stacks)
-    values, passes = np.zeros(len(bases)), []
-    for d, (places, (k0, k1, k2)) in stacks.items():
-        contrib, t1, norm = _block_value(k0.trace(axis1=1, axis2=2), k1.trace(axis1=1, axis2=2),
-                                         *(k2[:, i, k] for i, k in zip(*_UPPER[d])))
-        values[list(places)] = contrib
+    rows = next(iter(stacks.values()))[1].shape[:-4]  # () for a family, (k,) for k rows
+    values, passes = np.zeros((len(bases),) + rows), []  # a row's values are a column
+    for d, (places, stack) in stacks.items():
+        traces, k2 = stack.trace(axis1=-2, axis2=-1), stack[..., 2, :, :, :]
+        contrib, t1, norm = _block_value(traces[..., 0, :], traces[..., 1, :],
+                                         *(k2[..., i, k] for i, k in zip(*_UPPER[d])))
+        values[list(places)] = contrib.T
         passes.append((d, places, k2, t1, norm))
-    return values.tolist(), passes
+    return values.T.tolist(), passes
 
 
 def _solve(trig: TrigBlocks) -> tuple[dict[HalfInt, BlockPovm], dict[HalfInt, float]]:
@@ -143,7 +149,7 @@ def helstrom_certificate(state: GenericState, j2: HalfInt, povm: PovmSpec) -> fl
 
 
 def optimize_trig_blocks(trig: TrigBlocks, certify: bool = True) -> OptimizationResult:
-    """Per-block optimization of any trig-coefficient operator family."""
+    """The k2-eigenbasis pair of each block of a trig-coefficient family: optimal if m1 = 0 only."""
     per_block, contributions = _solve(trig)
     povm = PovmSpec(per_block)
     cert = _certificate(trig, povm) if certify else None
@@ -160,11 +166,16 @@ def max_fidelity(state: GenericState, j2: HalfInt, certify: bool = True) -> Opti
     return optimize_trig_blocks(signal_trig_blocks(state, half(j2)), certify=certify)
 
 
+def _max_fidelity_values(m1: HalfInt, js: tuple, j2: HalfInt, rows: np.ndarray) -> list[float]:
+    """max_fidelity(state, j2).fidelity, the same float, for each row of (k, len(js)) amplitudes
+    in sector m1, in one pass on the cached geometry's finite, exactly symmetric products."""
+    bases, geometry = _geometry(m1, js, half(j2))
+    return [float(sum(v)) for v in _contributions(bases, _products(rows[:, None], geometry))[0]]
+
+
 def _max_fidelity_value(state: GenericState, j2: HalfInt) -> float:
-    """max_fidelity(state, j2).fidelity, the same float, from the cached geometry's unchecked
-    products: a checked state on finite, exactly symmetric coefficients needs no family."""
-    bases, geometry = _geometry(state.m1, state.j_labels, half(j2))
-    return float(sum(_contributions(bases, _products(state.amplitude_vector, geometry))[0]))
+    """_max_fidelity_values of the one row of state's amplitudes."""
+    return _max_fidelity_values(state.m1, state.j_labels, j2, state.amplitude_vector[None])[0]
 
 
 def two_term_nu(a: float) -> float:
@@ -202,7 +213,7 @@ def _two_term_optimum(j2: HalfInt) -> float:
     2(l1 - l0) sqrt(q) = (2 q0 - q1) + (q1 - 2 q2) s: a quadratic in s once squared.  Its
     closed-form roots, a = 1 and a = 0 are then the only candidates, and the best is the maximum.
     """
-    stacks = _geometry(half(0), (half(0), half(1)), j2)[1]
+    stacks = _geometry(*_TWO_TERM, j2)[1]
     g0, g1, g2 = stacks[2][2][:, 0].tolist()
     l0, l1 = g0[0][0], g0[1][1] + float(_block_value(*stacks[1][2][..., 0, 0])[0].sum())
     t0, t1, g = g1[0][0], g1[1][1], g2[0][1]
@@ -220,23 +231,28 @@ def _two_term_optimum(j2: HalfInt) -> float:
     return math.sqrt(max(candidates, key=lambda ab: f(*ab))[0])
 
 
-def _search(j2: HalfInt) -> tuple[float, HalfInt, GenericState, float, float]:
-    """(a_star, winning m1 sector, its state, its fidelity, the parallel state's fidelity) at j2,
-    with a_star the closed-form maximum over the two-term family; the two-term state at a_star
-    wins unless the parallel state beats it by more than 1e-9.  Nothing is solved or certified."""
+def _search(j2: HalfInt) -> tuple[float, float, float, float, HalfInt]:
+    """(a_star, F_opt, F_parallel, F_antiparallel, winning m1 sector) at j2, building no state: the
+    two-term state at the closed-form a_star wins unless the parallel one beats it by over 1e-9."""
     j2 = half(j2)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
     a_star = _two_term_optimum(j2)
-    two_term, parallel = GenericState.two_term(a_star), GenericState.parallel()
-    f0, f_par = _max_fidelity_value(two_term, j2), _max_fidelity_value(parallel, j2)
+    rows = np.array([[a_star, math.sqrt(max(0.0, 1.0 - a_star * a_star))], _ANTIPARALLEL_ROW])
+    f0, f_anti = _max_fidelity_values(*_TWO_TERM, j2, rows)
+    f_par = _max_fidelity_value(_PARALLEL, j2)
     if f0 >= f_par - 1e-9:
-        return a_star, half(0), two_term, f0, f_par
-    return a_star, half(1), parallel, f_par, f_par
+        return a_star, f0, f_par, f_anti, _TWO_TERM[0]
+    return a_star, f_par, f_par, f_anti, _PARALLEL.m1
+
+
+def _preparation(a_star: float, sector: HalfInt) -> GenericState:
+    """The state _search picked: the two-term state at a_star in sector 0, else the parallel one."""
+    return GenericState.two_term(a_star) if sector == 0 else _PARALLEL
 
 
 def optimize_state(j2: HalfInt) -> tuple[float, HalfInt, OptimizationResult]:
     """Best preparation amplitude over the m1=0 two-term family vs the parallel state:
-    (a_star, winning m1 sector, result), where only the winner is solved and certified."""
-    a_star, sector, state, _, _ = _search(j2)
-    return a_star, sector, max_fidelity(state, j2)
+    (a_star, winning m1 sector, result), where only the winner is built, solved and certified."""
+    a_star, *_, sector = _search(j2)
+    return a_star, sector, max_fidelity(_preparation(a_star, sector), j2)

@@ -192,10 +192,16 @@ class TestSweep:
     def test_rows_are_the_optimizer_floats(self):
         grid = default_sweep_grid()
         for j2, row in zip(grid, sweep_optimal_vs_j2(grid)):
-            a_star, _, result = optimize_state(j2)
+            a_star, sector, result = optimize_state(j2)
+            winner = GenericState.two_term(a_star) if sector == 0 else GenericState.parallel()
             assert row.a_star == a_star
-            assert row.f_opt == result.fidelity
+            assert row.f_opt == result.fidelity == max_fidelity(winner, j2, certify=False).fidelity
             assert row.f_parallel == max_fidelity(GenericState.parallel(), j2,
                                                   certify=False).fidelity
             assert row.f_antiparallel == max_fidelity(GenericState.antiparallel(), j2,
                                                       certify=False).fidelity
+
+    @pytest.mark.parametrize("grid", ["12", "5", "", b"12"], ids=repr)
+    def test_a_string_is_not_a_grid(self, grid):
+        with pytest.raises(TypeError, match="j2_values .* is a string"):
+            sweep_optimal_vs_j2(grid)

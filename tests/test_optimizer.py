@@ -26,6 +26,7 @@ from relangle.optimizer import (
     UnsupportedBlockError,
     _certificate,
     _max_fidelity_value,
+    _max_fidelity_values,
     _quadratic_roots,
     _search,
     _two_term_optimum,
@@ -435,18 +436,21 @@ class TestOptimizeState:
     @pytest.mark.parametrize("below, sector", [(2e-9, half(1)), (0.5e-9, half(0))],
                              ids=["parallel-wins", "tie-goes-to-m1-zero"])
     def test_tie_rule_picks_the_sector(self, below, sector, monkeypatch):
-        # the two-term value set just below F_par: beyond 1e-9 the parallel state wins
-        value = optimizer_module._max_fidelity_value
+        # the two-term row's value set just below F_par: beyond 1e-9 the parallel state wins;
+        # the antiparallel row that shares its pass keeps its own value
+        values = optimizer_module._max_fidelity_values
 
-        def lowered(state, j2):
-            if state.m1 == 0:
-                return value(GenericState.parallel(), j2) - below
-            return value(state, j2)
+        def lowered(m1, js, j2, rows):
+            got = values(m1, js, j2, rows)
+            if m1 == 0:
+                return [values(half(1), (half(1),), j2, np.ones((1, 1)))[0] - below] + got[1:]
+            return got
 
-        monkeypatch.setattr(optimizer_module, "_max_fidelity_value", lowered)
+        monkeypatch.setattr(optimizer_module, "_max_fidelity_values", lowered)
         a_star, got, result = optimize_state("3/2")
         assert got == sector
-        assert optimizer_module._search("3/2")[1:3] == (
+        searched_a, *_, searched_sector = optimizer_module._search("3/2")
+        assert (searched_sector, optimizer_module._preparation(searched_a, searched_sector)) == (
             sector, GenericState.two_term(a_star) if sector == 0 else GenericState.parallel())
         assert result.certified
         (row,) = sweep_optimal_vs_j2(["3/2"])
@@ -506,7 +510,8 @@ class TestBatchedSearch:
             solved.append(state)
             return solve(state, j2, certify)
 
-        a_star, sector, state, f_opt, _ = _search(j2)
+        a_star, f_opt, _, _, sector = _search(j2)
+        state = optimizer_module._preparation(a_star, sector)
         monkeypatch.setattr(optimizer_module, "max_fidelity", recording)
         got_a, got_sector, result = optimize_state(j2)
         assert solved == [state]
@@ -912,24 +917,46 @@ COHERENT_CASES = [(GenericState.coherent(HalfInt(t)), j2) for t in range(1, 7)
                   for j2 in ("1/2", 2, "7/2")]
 
 
+def sign_and_order_rows(state):
+    """The state's amplitude row, negated, reversed and with alternating signs: unit rows all."""
+    v = state.amplitude_vector
+    return np.array([v, -v, v[::-1], v * (-1.0) ** np.arange(len(v))])
+
+
 class TestValuePath:
     @pytest.mark.parametrize("state,j2", SIGNAL_CASES + M1_CASES + COHERENT_CASES)
     def test_is_the_max_fidelity_float(self, state, j2):
         assert _max_fidelity_value(state, j2) == max_fidelity(state, j2, certify=False).fidelity
+        # k amplitude rows on one cached geometry, valued in one pass
+        rows = sign_and_order_rows(state)
+        expected = [max_fidelity(GenericState.from_dict(state.m1, dict(zip(state.j_labels, row))),
+                                 j2, certify=False).fidelity for row in rows]
+        assert _max_fidelity_values(state.m1, state.j_labels, j2, rows) == expected
 
     def test_three_dim_block_raises_as_max_fidelity_does(self):
+        def batch(state, j2):
+            return _max_fidelity_values(state.m1, state.j_labels, j2, sign_and_order_rows(state))
+
         errors = []
-        for path in (_max_fidelity_value, max_fidelity):
+        for path in (_max_fidelity_value, max_fidelity, batch):
             with pytest.raises(UnsupportedBlockError) as info:
                 path(THREE_TERM, half(1))
             errors.append(str(info.value))
-        assert errors[0] == errors[1] and "J=1 has dimension 3" in errors[0]
+        assert errors[0] == errors[1] == errors[2] and "J=1 has dimension 3" in errors[0]
+
+    @pytest.mark.parametrize("j2", ["1/2", 3, "21/2", 100], ids=str)
+    def test_two_term_rows_are_the_max_fidelity_floats(self, j2):
+        amps = [0.0, 0.1, 0.609, 1.0 / math.sqrt(2.0), 0.95, 1.0]
+        expected = [max_fidelity(GenericState.two_term(a), j2, certify=False).fidelity
+                    for a in amps]
+        assert _max_fidelity_values(*TWO_TERM, j2, two_term_rows(np.array(amps))) == expected
 
     def test_sweep_row_builds_no_family(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a sweep row built a TrigBlocks family")
+            raise AssertionError("a sweep row built a GenericState or a TrigBlocks family")
 
         grid = default_sweep_grid()
         expected = sweep_optimal_vs_j2(grid)
-        monkeypatch.setattr(TrigBlocks, "__post_init__", refuse)
+        for cls in (GenericState, TrigBlocks):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
         assert sweep_optimal_vs_j2(grid) == expected
