@@ -149,12 +149,12 @@ def _geometry(m1: HalfInt, js: tuple[HalfInt, ...], j2: HalfInt):
 
 
 def _products(amps: np.ndarray, geometry) -> dict:
-    """A _table_geometry's unchecked stacks d -> (places, k0, k1, k2) for amplitudes (..., labels):
-    one row gives a family's (3, n, d, d) stacks, (k, 1, labels) rows (k, 3, n, d, d) ones."""
+    """A _table_geometry's unchecked stacks d -> (places, (3, n, d, d) k0, k1, k2) for one row of
+    amplitudes over the geometry's labels: a family's stacks, before TrigBlocks checks them."""
     stacks = {}
     for d, (places, idx, coeffs) in geometry.items():
-        x = amps.take(idx, -1)  # (..., n, d)
-        stacks[d] = (places, (x[..., None] * x[..., None, :]) * coeffs)
+        x = amps[idx]  # (n, d)
+        stacks[d] = (places, (x[:, :, None] * x[:, None, :]) * coeffs)
     return stacks
 
 

@@ -10,10 +10,10 @@ with certificate -1.36e-3.  Optimality of a reported POVM is certified by scanni
 minimum eigenvalue of Upsilon - A_mu over a fixed 1001-point mu grid, with
 Upsilon = sum_i A(mu_i) E_i from estimator._upsilon, whose trace is the fidelity; every
 block is 1x1 or 2x2, so that eigenvalue is the entry itself for a 1-dim block and
-(a + c)/2 - hypot((a - c)/2, b) for a 2-dim one.  The solve, the certificate and the value
-of k amplitude rows work on the blocks of one dimension at a time, as one (blocks, d, d)
-stack: one array pass per dimension, with one batched eigh for the 2-dim eigenbases, gives
-the same floats as a pass per block.  _search alone picks the optimal preparation.
+(a + c)/2 - hypot((a - c)/2, b) for a 2-dim one.  The solve and the certificate work on
+the blocks of one dimension at a time, as one (blocks, d, d) stack: one array pass per
+dimension, with one batched eigh for the 2-dim eigenbases, gives the same floats as a pass
+per block.  _search alone picks the optimal preparation, in closed form with no array pass.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .estimator import (
     TrigBlocks,
     _geometry,
     _lambda_min,
-    _products,
     _sym_entries,
     _upsilon,
     signal_trig_blocks,
@@ -44,10 +43,9 @@ _SIN_MU.flags.writeable = _COS_MU.flags.writeable = False
 # (a, b, c) places of k2 in the solved 1- and 2-dim blocks, built once
 _UPPER = {1: np.triu_indices(1), 2: np.triu_indices(2)}
 _IDENTITY_1 = np.broadcast_to(1.0, (1, 1, 1))  # every 1-dim block's one element, read-only
-# (m1, labels) of a|0 0> + b|1 0>, the antiparallel row and the parallel state, built once
-_TWO_TERM = (half(0), (half(0), half(1)))
-_ANTIPARALLEL_ROW, _PARALLEL = GenericState.antiparallel().amplitude_vector, GenericState.parallel()
-_ANTIPARALLEL_ROW.flags.writeable = False
+# the parallel state, built once, and the (m1, labels) of it and of a|0 0> + b|1 0>
+_PARALLEL = GenericState.parallel()
+_PARALLEL_KEY, _TWO_TERM = (_PARALLEL.m1, _PARALLEL.j_labels), (half(0), (half(0), half(1)))
 
 
 class UnsupportedBlockError(ValueError):
@@ -82,19 +80,22 @@ def _block_value(t0, t1, a, b=0.0, c=0.0):
     return t0 + np.hypot(t1, norm), t1, norm
 
 
-def _contributions(bases, stacks) -> tuple[list, list]:
-    """Each block's value in J order from a family's (3, n, d, d) stacks, or per row of _products'
-    (k, 3, n, d, d) ones, and per dimension (d, places, k2, t1, ||k2||_1) for nu."""
+def _unit_value(stack: np.ndarray) -> float:
+    """The summed values of (3, n, 1, 1) 1-dim blocks at amplitude 1, added in their order."""
+    return float(_block_value(*stack[..., 0, 0])[0].sum())
+
+
+def _contributions(bases, stacks) -> tuple[list[float], list]:
+    """Each block's value in J order from a family's (3, n, d, d) stacks, and per dimension
+    (d, places, k2, t1, ||k2||_1) for nu; a block of dimension > 2 raises UnsupportedBlockError."""
     _check_dims(bases, stacks)
-    rows = next(iter(stacks.values()))[1].shape[:-4]  # () for a family, (k,) for k rows
-    values, passes = np.zeros((len(bases),) + rows), []  # a row's values are a column
+    values, passes = np.zeros(len(bases)), []
     for d, (places, stack) in stacks.items():
-        traces, k2 = stack.trace(axis1=-2, axis2=-1), stack[..., 2, :, :, :]
-        contrib, t1, norm = _block_value(traces[..., 0, :], traces[..., 1, :],
-                                         *(k2[..., i, k] for i, k in zip(*_UPPER[d])))
-        values[list(places)] = contrib.T
+        (t0, t1), k2 = stack[:2].trace(axis1=2, axis2=3), stack[2]
+        contrib, t1, norm = _block_value(t0, t1, *(k2[:, i, k] for i, k in zip(*_UPPER[d])))
+        values[list(places)] = contrib
         passes.append((d, places, k2, t1, norm))
-    return values.T.tolist(), passes
+    return values.tolist(), passes
 
 
 def _solve(trig: TrigBlocks) -> tuple[dict[HalfInt, BlockPovm], dict[HalfInt, float]]:
@@ -166,18 +167,6 @@ def max_fidelity(state: GenericState, j2: HalfInt, certify: bool = True) -> Opti
     return optimize_trig_blocks(signal_trig_blocks(state, half(j2)), certify=certify)
 
 
-def _max_fidelity_values(m1: HalfInt, js: tuple, j2: HalfInt, rows: np.ndarray) -> list[float]:
-    """max_fidelity(state, j2).fidelity, the same float, for each row of (k, len(js)) amplitudes
-    in sector m1, in one pass on the cached geometry's finite, exactly symmetric products."""
-    bases, geometry = _geometry(m1, js, half(j2))
-    return [float(sum(v)) for v in _contributions(bases, _products(rows[:, None], geometry))[0]]
-
-
-def _max_fidelity_value(state: GenericState, j2: HalfInt) -> float:
-    """_max_fidelity_values of the one row of state's amplitudes."""
-    return _max_fidelity_values(state.m1, state.j_labels, j2, state.amplitude_vector[None])[0]
-
-
 def two_term_nu(a: float) -> float:
     """Closed-form optimal estimate angle for the j2=1/2 two-term preparation.
 
@@ -203,19 +192,19 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
     return [q / a] if disc < 0.0 or q == 0.0 else [q / a, c / q]
 
 
-def _two_term_optimum(j2: HalfInt) -> float:
-    """The amplitude a* of a|0 0> + b|1 0> that maximises F at j2, in closed form.
+def _two_term_optimum(j2: HalfInt) -> tuple[float, float, float]:
+    """(a*, F(a*), F at a = b = 1/sqrt 2) for a|0 0> + b|1 0> at j2, a* maximising F in closed form.
 
     The 1-dim blocks hold label 1 alone and add b^2 times their value.  The 2-dim block has
     tr k1 > 0 and a k2 with zero diagonal, by parity (<j 0 1 0|j 0> = 0), so its ||k2||_1 is
-    2ab|g2_01|.  With s = (b/a)^2, F(s) = (l0 + l1 s + sqrt(q(s)))/(1 + s), where
-    q = (tr k1)^2 + ||k2||_1^2 = q0 + q1 s + q2 s^2, and F'(s) = 0 iff
-    2(l1 - l0) sqrt(q) = (2 q0 - q1) + (q1 - 2 q2) s: a quadratic in s once squared.  Its
-    closed-form roots, a = 1 and a = 0 are then the only candidates, and the best is the maximum.
+    2|ab g2_01|: F = a^2 l0 + b^2 l1 + sqrt(a^4 q0 + a^2 b^2 q1 + b^4 q2) whatever the sign of
+    b, so F(1/2, 1/2) is the antiparallel value.  With s = (b/a)^2, F'(s) = 0 iff
+    2(l1 - l0) sqrt(q) = (2 q0 - q1) + (q1 - 2 q2) s, q = q0 + q1 s + q2 s^2: a quadratic in s
+    once squared.  Its closed-form roots, a = 1 and a = 0 are the only candidates; the best wins.
     """
     stacks = _geometry(*_TWO_TERM, j2)[1]
     g0, g1, g2 = stacks[2][2][:, 0].tolist()
-    l0, l1 = g0[0][0], g0[1][1] + float(_block_value(*stacks[1][2][..., 0, 0])[0].sum())
+    l0, l1 = g0[0][0], g0[1][1] + _unit_value(stacks[1][2])
     t0, t1, g = g1[0][0], g1[1][1], g2[0][1]
     q0, q1, q2 = t0 * t0, 2.0 * t0 * t1 + 4.0 * (g * g), t1 * t1
     dl2, alpha, beta = 4.0 * ((l1 - l0) * (l1 - l0)), 2.0 * q0 - q1, q1 - 2.0 * q2
@@ -228,19 +217,18 @@ def _two_term_optimum(j2: HalfInt) -> float:
     # a complex or negative root, clamped, is still an amplitude of the family: never above the maximum
     candidates = [(1.0, 0.0), (0.0, 1.0)] + [(1.0 / (1.0 + s), s / (1.0 + s))
                                              for s in (max(r, 0.0) for r in roots)]
-    return math.sqrt(max(candidates, key=lambda ab: f(*ab))[0])
+    a2, b2 = max(candidates, key=lambda ab: f(*ab))
+    return math.sqrt(a2), f(a2, b2), f(0.5, 0.5)
 
 
 def _search(j2: HalfInt) -> tuple[float, float, float, float, HalfInt]:
-    """(a_star, F_opt, F_parallel, F_antiparallel, winning m1 sector) at j2, building no state: the
-    two-term state at the closed-form a_star wins unless the parallel one beats it by over 1e-9."""
+    """(a_star, F_opt, F_parallel, F_antiparallel, winning m1 sector) at j2, with no state or array
+    pass: the two-term state at a_star wins unless the parallel one beats it by over 1e-9."""
     j2 = half(j2)
     if j2.twice < 1:
         raise DomainError("j2 must be at least 1/2")
-    a_star = _two_term_optimum(j2)
-    rows = np.array([[a_star, math.sqrt(max(0.0, 1.0 - a_star * a_star))], _ANTIPARALLEL_ROW])
-    f0, f_anti = _max_fidelity_values(*_TWO_TERM, j2, rows)
-    f_par = _max_fidelity_value(_PARALLEL, j2)
+    a_star, f0, f_anti = _two_term_optimum(j2)
+    f_par = _unit_value(_geometry(*_PARALLEL_KEY, j2)[1][1][2])
     if f0 >= f_par - 1e-9:
         return a_star, f0, f_par, f_anti, _TWO_TERM[0]
     return a_star, f_par, f_par, f_anti, _PARALLEL.m1

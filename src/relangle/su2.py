@@ -37,16 +37,27 @@ def _on_twice(op, wrap=None):
 
 
 class HalfInt:
-    """Half-integer stored as a doubled integer: HalfInt(1) is 1/2, HalfInt(2) is 1."""
+    """Immutable half-integer stored as a doubled integer: HalfInt(1) is 1/2, HalfInt(2) is 1."""
 
-    __slots__ = ("twice",)
+    __slots__ = ("twice", "_hash")
 
     def __init__(self, twice):
-        if isinstance(twice, HalfInt):
-            twice = twice.twice
-        if not isinstance(twice, int) or isinstance(twice, bool):
-            raise TypeError(f"twice must be an int, got {type(twice).__name__}")
-        object.__setattr__(self, "twice", twice)
+        if type(twice) is not int:  # an exact int skips both checks
+            if isinstance(twice, HalfInt):
+                twice = twice.twice
+            elif not isinstance(twice, int) or isinstance(twice, bool):
+                raise TypeError(f"twice must be an int, got {type(twice).__name__}")
+        object.__setattr__(self, "twice", twice)  # HalfInt's own __setattr__ refuses
+        # hashed once; integral values hash as the equal int, so hashing agrees with ==
+        object.__setattr__(self, "_hash", hash(twice / 2 if twice & 1 else twice >> 1))
+
+    def _immutable(self, name, *value):  # dict keys, lru_cache keys and frozen states hold it
+        raise AttributeError(f"HalfInt is immutable: cannot set or delete {name}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild through __init__
+        return HalfInt, (self.twice,)
 
     __add__ = _on_twice(operator.add, lambda t: HalfInt(t))
     __sub__ = _on_twice(operator.sub, lambda t: HalfInt(t))
@@ -63,8 +74,7 @@ class HalfInt:
         return HalfInt(abs(self.twice))
 
     def __hash__(self):
-        # integral values hash as the equal int, so hashing agrees with ==
-        return hash(self.twice // 2 if self.twice % 2 == 0 else self.twice / 2)
+        return self._hash
 
     def __float__(self):
         return self.twice / 2.0

@@ -1,4 +1,5 @@
-"""Reference code that only the tests use: block dimensions, a symmetry measure, coherent-state
+"""Reference code that only the tests use: block dimensions, a block-by-block valuation of
+amplitude rows, a symmetry measure, coherent-state
 outcome probabilities, the reduction of a product-space operator to J blocks, and the two routes
 that the multipole tables replaced: Clebsch-Gordan contractions for the rotation average and a
 Gauss-Legendre quadrature over Wigner-d columns for the classical limit."""
@@ -31,6 +32,7 @@ from relangle.states import (
     coupling_structure,
 )
 from relangle.estimator import TrigBlock, TrigBlocks, _geometry
+from relangle.optimizer import _block_value
 
 
 def block_dims(state: GenericState, j2: HalfInt) -> dict[HalfInt, int]:
@@ -71,6 +73,19 @@ def geometry_blocks(m1: HalfInt, labels: tuple[HalfInt, ...],
     views = sorted(((place, coeffs[:, n]) for places, _, coeffs in stacks.values()
                     for n, place in enumerate(places)), key=lambda pair: pair[0])
     return {J: (basis, view) for (J, basis), (_, view) in zip(bases.items(), views)}
+
+
+def reference_fidelities(m1: HalfInt, labels: tuple[HalfInt, ...], j2: HalfInt,
+                         rows: np.ndarray) -> np.ndarray:
+    """max_fidelity's value of each (k, len(labels)) amplitude row, from the same _geometry one
+    block after another, in J order."""
+    total = np.zeros(len(rows))
+    for basis, (g0, g1, g2) in geometry_blocks(m1, labels, j2).values():
+        x = rows[:, [labels.index(j1) for j1 in basis]]
+        i, k = np.triu_indices(len(basis))
+        total += _block_value((x * x) @ g0.diagonal(), (x * x) @ g1.diagonal(),
+                              *(x[:, i] * x[:, k] * g2[i, k]).T)[0]
+    return total
 
 
 def is_coherent(state: GenericState) -> bool:

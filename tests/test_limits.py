@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relangle.su2 import DomainError, half, m_range, wigner_d_matrix
+from relangle.su2 import DomainError, HalfInt, half, m_range, wigner_d_matrix
 from relangle.states import GenericState, _classical_multipoles, _multipoles, averaged_state
 from relangle.limits import (
     asymptotic_deviation,
@@ -15,7 +15,8 @@ from relangle.limits import (
 )
 from relangle.optimizer import max_fidelity, optimize_state
 
-from helpers import cg_averaged_state, quadrature_sigma, quadrature_trig_blocks
+from helpers import (cg_averaged_state, quadrature_sigma, quadrature_trig_blocks,
+                     reference_fidelities)
 
 BLIND_GUESS = 0.5 + math.pi / 8.0
 
@@ -190,16 +191,24 @@ class TestSweep:
             assert row.f_parallel - row.f_antiparallel <= 1e-4
 
     def test_rows_are_the_optimizer_floats(self):
-        grid = default_sweep_grid()
+        # every half step to 200, and two far j2: a*, the sector and F_parallel are the optimizer's
+        # floats; F_opt and F_antiparallel come from the closed form, within roundoff of them
+        grid = [HalfInt(t) for t in range(1, 401)] + [half(500), half(5000)]
+        r = 1.0 / math.sqrt(2.0)
         for j2, row in zip(grid, sweep_optimal_vs_j2(grid)):
             a_star, sector, result = optimize_state(j2)
             winner = GenericState.two_term(a_star) if sector == 0 else GenericState.parallel()
             assert row.a_star == a_star
-            assert row.f_opt == result.fidelity == max_fidelity(winner, j2, certify=False).fidelity
             assert row.f_parallel == max_fidelity(GenericState.parallel(), j2,
                                                   certify=False).fidelity
-            assert row.f_antiparallel == max_fidelity(GenericState.antiparallel(), j2,
-                                                      certify=False).fidelity
+            assert result.fidelity == max_fidelity(winner, j2, certify=False).fidelity
+            anti = max_fidelity(GenericState.antiparallel(), j2, certify=False).fidelity
+            assert abs(row.f_opt - result.fidelity) <= 1e-15
+            assert abs(row.f_antiparallel - anti) <= 1e-15
+            # the antiparallel value, whichever the sign of b
+            plus, minus = reference_fidelities(half(0), (half(0), half(1)), j2,
+                                               np.array([[r, r], [r, -r]]))
+            assert plus == minus and abs(plus - anti) <= 1e-15
 
     @pytest.mark.parametrize("grid", ["12", "5", "", b"12"], ids=repr)
     def test_a_string_is_not_a_grid(self, grid):

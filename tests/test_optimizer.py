@@ -18,6 +18,7 @@ from relangle.estimator import (
     fidelity_montecarlo,
     signal_trig_blocks,
 )
+import relangle.estimator as estimator_module
 import relangle.optimizer as optimizer_module
 from relangle import limits
 from relangle.limits import classical_trig_blocks, default_sweep_grid, sweep_optimal_vs_j2
@@ -25,8 +26,6 @@ from relangle.optimizer import (
     CERTIFICATE_PASS,
     UnsupportedBlockError,
     _certificate,
-    _max_fidelity_value,
-    _max_fidelity_values,
     _quadratic_roots,
     _search,
     _two_term_optimum,
@@ -37,7 +36,7 @@ from relangle.optimizer import (
     two_term_nu,
 )
 from relangle.cli import _amplitude_grid
-from helpers import block_dims, geometry_blocks
+from helpers import block_dims, geometry_blocks, reference_fidelities
 
 THREE_TERM = GenericState.from_dict(0, {0: 0.5, 1: 0.5, 2: math.sqrt(0.5)})
 
@@ -436,17 +435,16 @@ class TestOptimizeState:
     @pytest.mark.parametrize("below, sector", [(2e-9, half(1)), (0.5e-9, half(0))],
                              ids=["parallel-wins", "tie-goes-to-m1-zero"])
     def test_tie_rule_picks_the_sector(self, below, sector, monkeypatch):
-        # the two-term row's value set just below F_par: beyond 1e-9 the parallel state wins;
-        # the antiparallel row that shares its pass keeps its own value
-        values = optimizer_module._max_fidelity_values
+        # the two-term value at a* set just below F_par: beyond 1e-9 the parallel state wins;
+        # a* and the antiparallel value that come with it keep their own values
+        optimum = optimizer_module._two_term_optimum
 
-        def lowered(m1, js, j2, rows):
-            got = values(m1, js, j2, rows)
-            if m1 == 0:
-                return [values(half(1), (half(1),), j2, np.ones((1, 1)))[0] - below] + got[1:]
-            return got
+        def lowered(j2):
+            a_star, _, f_anti = optimum(j2)
+            f_par = max_fidelity(GenericState.parallel(), j2, certify=False).fidelity
+            return a_star, f_par - below, f_anti
 
-        monkeypatch.setattr(optimizer_module, "_max_fidelity_values", lowered)
+        monkeypatch.setattr(optimizer_module, "_two_term_optimum", lowered)
         a_star, got, result = optimize_state("3/2")
         assert got == sector
         searched_a, *_, searched_sector = optimizer_module._search("3/2")
@@ -460,17 +458,6 @@ class TestOptimizeState:
             assert result.fidelity == par.fidelity == row.f_opt == row.f_parallel
             assert result.certificate_min_eigenvalue == par.certificate_min_eigenvalue
             assert result.povm.per_block.keys() == par.povm.per_block.keys()
-
-
-def reference_fidelities(m1, labels, j2, rows):
-    """The amplitude-grid valuation of the same _geometry one block after another, in J order."""
-    total = np.zeros(len(rows))
-    for basis, (g0, g1, g2) in geometry_blocks(m1, labels, j2).values():
-        x = rows[:, [labels.index(j1) for j1 in basis]]
-        i, k = np.triu_indices(len(basis))
-        total += optimizer_module._block_value((x * x) @ g0.diagonal(), (x * x) @ g1.diagonal(),
-                                               *(x[:, i] * x[:, k] * g2[i, k]).T)[0]
-    return total
 
 
 class TestSearchParameters:
@@ -515,7 +502,9 @@ class TestBatchedSearch:
         monkeypatch.setattr(optimizer_module, "max_fidelity", recording)
         got_a, got_sector, result = optimize_state(j2)
         assert solved == [state]
-        assert (got_a, got_sector, result.fidelity) == (a_star, sector, f_opt)
+        assert (got_a, got_sector) == (a_star, sector)
+        # F_opt is the value the search maximised; the solve values the state built from a*
+        assert abs(result.fidelity - f_opt) <= 1e-15
         assert state == GenericState.two_term(a_star)
 
     def test_one_certified_solve_per_search(self, monkeypatch):
@@ -532,14 +521,27 @@ class TestBatchedSearch:
         assert result.certified
 
     def test_sweep_row_solves_and_certifies_nothing(self, monkeypatch):
+        # a row is the closed form on two cached geometries: no family, array pass, solve,
+        # certificate or eigensolver, under whichever module holds the name
         def refuse(*args, **kwargs):
-            raise AssertionError("a sweep row solved or certified a preparation")
+            raise AssertionError("a sweep row built, valued, solved or certified a family")
 
-        for module, name in ((optimizer_module, "optimize_trig_blocks"),
-                             (limits, "optimize_trig_blocks"), (optimizer_module, "_certificate")):
-            monkeypatch.setattr(module, name, refuse)
+        lookups = []
+        geometry = optimizer_module._geometry
+
+        def counting(*key):
+            lookups.append(key)
+            return geometry(*key)
+
+        for module in (estimator_module, optimizer_module, limits):
+            for name in ("_products", "_contributions", "signal_trig_blocks",
+                         "optimize_trig_blocks", "_certificate"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(optimizer_module, "_geometry", counting)
         (row,) = sweep_optimal_vs_j2(["7/2"])
         assert row.f_opt >= row.f_parallel
+        assert len(lookups) == 2
 
 
 TWO_TERM = (half(0), (half(0), half(1)))
@@ -564,8 +566,11 @@ class TestTwoTermOptimum:
     @pytest.mark.parametrize("j2", ROOT_J2, ids=str)
     def test_global_maximum_over_the_family(self, j2):
         grid = two_term_rows(np.linspace(0.0, 1.0, 10 ** 4))
-        at_root = reference_fidelities(*TWO_TERM, j2, two_term_rows(_two_term_optimum(j2)))[0]
+        a_star, f_opt, f_anti = _two_term_optimum(j2)
+        at_root, anti = reference_fidelities(*TWO_TERM, j2, two_term_rows([a_star, 0.5 ** 0.5]))
         assert at_root >= reference_fidelities(*TWO_TERM, j2, grid).max() - 1e-15
+        # the returned values are F at a* and at a = b = 1/sqrt(2)
+        assert abs(f_opt - at_root) <= 1e-15 and abs(f_anti - anti) <= 1e-15
 
     @pytest.mark.parametrize("j2", ROOT_J2, ids=str)
     def test_zero_k2_diagonal_and_positive_trace_k1(self, j2):
@@ -578,11 +583,11 @@ class TestTwoTermOptimum:
 
     @pytest.mark.parametrize("j2", sorted(A_STAR_40_DIGITS), ids=str)
     def test_matches_40_digit_value(self, j2):
-        assert abs(_two_term_optimum(half(j2)) - float(A_STAR_40_DIGITS[j2])) <= 1e-12
+        assert abs(_two_term_optimum(half(j2))[0] - float(A_STAR_40_DIGITS[j2])) <= 1e-12
 
     @pytest.mark.parametrize("j2", ROOT_J2, ids=str)
     def test_matches_the_np_roots_optimum(self, j2):
-        assert abs(_two_term_optimum(j2) - np_roots_optimum(j2)) <= 1e-15
+        assert abs(_two_term_optimum(j2)[0] - np_roots_optimum(j2)) <= 1e-15
 
 
 def np_roots_optimum(j2):
@@ -924,32 +929,25 @@ def sign_and_order_rows(state):
 
 
 class TestValuePath:
+    # max_fidelity's value, a family's one array pass per dimension, is the block-by-block
+    # reference valuation that the closed-form row is tested against, within roundoff
     @pytest.mark.parametrize("state,j2", SIGNAL_CASES + M1_CASES + COHERENT_CASES)
     def test_is_the_max_fidelity_float(self, state, j2):
-        assert _max_fidelity_value(state, j2) == max_fidelity(state, j2, certify=False).fidelity
-        # k amplitude rows on one cached geometry, valued in one pass
         rows = sign_and_order_rows(state)
         expected = [max_fidelity(GenericState.from_dict(state.m1, dict(zip(state.j_labels, row))),
                                  j2, certify=False).fidelity for row in rows]
-        assert _max_fidelity_values(state.m1, state.j_labels, j2, rows) == expected
-
-    def test_three_dim_block_raises_as_max_fidelity_does(self):
-        def batch(state, j2):
-            return _max_fidelity_values(state.m1, state.j_labels, j2, sign_and_order_rows(state))
-
-        errors = []
-        for path in (_max_fidelity_value, max_fidelity, batch):
-            with pytest.raises(UnsupportedBlockError) as info:
-                path(THREE_TERM, half(1))
-            errors.append(str(info.value))
-        assert errors[0] == errors[1] == errors[2] and "J=1 has dimension 3" in errors[0]
+        got = reference_fidelities(state.m1, state.j_labels, half(j2), rows)
+        assert np.abs(got - expected).max() <= 1e-15
 
     @pytest.mark.parametrize("j2", ["1/2", 3, "21/2", 100], ids=str)
     def test_two_term_rows_are_the_max_fidelity_floats(self, j2):
         amps = [0.0, 0.1, 0.609, 1.0 / math.sqrt(2.0), 0.95, 1.0]
         expected = [max_fidelity(GenericState.two_term(a), j2, certify=False).fidelity
                     for a in amps]
-        assert _max_fidelity_values(*TWO_TERM, j2, two_term_rows(np.array(amps))) == expected
+        rows = two_term_rows(np.array(amps))
+        for sign in (1.0, -1.0):  # b < 0 too: by parity F depends on b through b^2 and |ab|
+            got = reference_fidelities(*TWO_TERM, half(j2), rows * [1.0, sign])
+            assert np.abs(got - expected).max() <= 1e-15
 
     def test_sweep_row_builds_no_family(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import re
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +123,34 @@ class TestHalfInt:
 
     def test_hashable(self):
         assert len({half(1), HalfInt(2), half("1/2")}) == 2
+
+    def test_twice_cannot_be_set_or_deleted(self):
+        # a label that could change under a dict, an lru_cache key or a frozen state
+        h = HalfInt(3)
+        table = {h: 1}
+        with pytest.raises(AttributeError):
+            h.twice = 5
+        with pytest.raises(AttributeError):
+            del h.twice
+        with pytest.raises(AttributeError):
+            h._hash = hash(5)
+        assert h.twice == 3 and HalfInt(3) in table and hash(h) == hash(1.5)
+        j2 = half(2)
+        with pytest.raises(AttributeError):
+            j2.twice = 6
+        assert j2 == 2 and hash(j2) == hash(2)
+
+    def test_copies_and_pickles_are_equal_and_immutable(self):
+        from relangle.limits import SweepRow
+
+        for h in (HalfInt(3), HalfInt(-4), HalfInt(0)):
+            for twin in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+                assert type(twin) is HalfInt and twin == h and hash(twin) == hash(h)
+                with pytest.raises(AttributeError):
+                    twin.twice = 1
+        row = SweepRow(half("3/2"), 0.6, 0.93, 0.92, 0.91)
+        assert asdict(row) == {"j2": half("3/2"), "a_star": 0.6, "f_opt": 0.93,
+                               "f_parallel": 0.92, "f_antiparallel": 0.91}
 
     def test_bare_int_is_a_physical_value(self):
         assert HalfInt(1) + 1 == half("3/2")
